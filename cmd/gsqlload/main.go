@@ -255,9 +255,9 @@ func run(dial func() (net.Conn, error), clients, requests int, seed int64, topN,
 
 // driveClient runs one session: dial, read the hello banner, then a
 // seeded request stream. Every fourth client diverges its session
-// state (SET PARALLELISM / SET VECTORIZED OFF) to keep the
-// per-session knobs hot under load, and every client exercises one
-// prepared statement with a bound parameter.
+// state (SET PARALLELISM) to keep the per-session knobs hot under
+// load, and every client exercises one prepared statement with a
+// bound parameter.
 func driveClient(dial func() (net.Conn, error), seed int64, requests int, ingestEvery int, ingestBase string) clientResult {
 	var res clientResult
 	conn, err := dial()
@@ -317,14 +317,9 @@ func driveClient(dial func() (net.Conn, error), seed int64, requests int, ingest
 		}
 	}
 
-	switch rng.Intn(4) {
-	case 0:
+	if rng.Intn(4) == 0 {
 		if resp, ok := roundTrip(server.Request{Op: server.OpQuery, Query: "set parallelism 2"}); ok {
 			tally(resp, 0, "set parallelism 2")
-		}
-	case 1:
-		if resp, ok := roundTrip(server.Request{Op: server.OpQuery, Query: "set vectorized off"}); ok {
-			tally(resp, 0, "set vectorized off")
 		}
 	}
 	if resp, ok := roundTrip(server.Request{

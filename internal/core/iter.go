@@ -1,7 +1,7 @@
 // Iterator forms of the semantic joins. Enrichment and link joins are
 // input-side pipeline breakers: HER matching and match restriction
-// need whole relations, so the sources materialise at Open — but the
-// joined output streams tuple-at-a-time into the surrounding
+// need whole relations, so the sources are gathered at Open — but the
+// joined output streams batch-at-a-time into the surrounding
 // relational plan, and the static enrichment join pipelines end to end
 // when its source schema is known at plan time.
 package core
@@ -38,13 +38,10 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 				return r, "", err
 			}), nil
 	}
-	// The reduction runs batch-at-a-time: the source converts to column
-	// batches (a zero-copy unwrap when it is a scan), both pre-computed
-	// relations hash once at Open inside the batch natural joins, match
-	// rows gather column-wise, and the projection is a column-header
-	// pick. The unbatcher restores the row contract for the plan above,
-	// so the signature — and every caller — is unchanged.
-	j := rel.NewBatchNaturalJoinRel(rel.NewBatchNaturalJoinRel(rel.ToBatches(src, 0), b.MatchRel), b.Extracted)
+	// Both pre-computed relations hash once at Open inside the natural
+	// joins, match rows gather column-wise, and the projection is a
+	// column-header pick.
+	j := rel.NewNaturalJoin(rel.NewNaturalJoin(src, b.MatchRel), b.Extracted)
 	// Project to S's attributes plus vid plus the requested keywords,
 	// deduplicating: S may already carry vid or some keyword column from
 	// an earlier (chained) enrichment join.
@@ -59,11 +56,11 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 			cols = append(cols, c)
 		}
 	}
-	return rel.NewUnbatcher(rel.NewBatchProject(j, cols...)), nil
+	return rel.NewProject(j, cols...), nil
 }
 
-// StaticLinkIter is the pipelined form of StaticLink: both sides
-// materialise at Open (match restriction needs whole relations), the
+// StaticLinkIter is the pipelined form of StaticLink: both sides are
+// gathered at Open (match restriction needs whole relations), the
 // joined pairs stream out, and the operator's plan note records
 // whether the gL connectivity cache answered the query. The per-vertex
 // BFS fan-out runs on par workers (par <= 0 means GOMAXPROCS); the gL
@@ -71,7 +68,7 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 // compute the connectivity relation exactly once.
 func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 string, s2 rel.Iterator, k, par int, cacheKey string) rel.Iterator {
 	return rel.NewGenerate("l-join static", []rel.Iterator{s1, s2},
-		func(ctx context.Context, in []*rel.Relation) (rel.Generated, error) {
+		func(ctx context.Context, in []*rel.Batch) (rel.Generated, error) {
 			b1, b2 := m.bases[base1], m.bases[base2]
 			if b1 == nil || b2 == nil {
 				return rel.Generated{}, fmt.Errorf("core: no materialisation for %q/%q", base1, base2)
@@ -121,15 +118,15 @@ func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 strin
 }
 
 // LinkJoinIter is the pipelined conceptual-level link join: HER runs
-// on the materialised sides at Open, pair connectivity streams out.
+// on the gathered sides at Open, pair connectivity streams out.
 // The per-vertex BFS fan-out runs on par workers (par <= 0 means
 // GOMAXPROCS).
 func LinkJoinIter(g *graph.Graph, matcher her.Matcher, k, par int, s1, s2 rel.Iterator) rel.Iterator {
 	return rel.NewGenerate("l-join online", []rel.Iterator{s1, s2},
-		func(ctx context.Context, in []*rel.Relation) (rel.Generated, error) {
+		func(ctx context.Context, in []*rel.Batch) (rel.Generated, error) {
 			matchStart := time.Now()
-			m1 := matcher.Match(in[0], g)
-			m2 := matcher.Match(in[1], g)
+			m1 := matchBatch(matcher, in[0], g)
+			m2 := matchBatch(matcher, in[1], g)
 			obs.FromContext(ctx).Histogram("core_her_match_seconds", nil).
 				Observe(time.Since(matchStart).Seconds())
 			obs.TraceFromContext(ctx).Phase("her_match", matchStart)
@@ -175,39 +172,54 @@ func HeuristicLinkIter(h *HeuristicJoiner, g *graph.Graph, k int, s1, s2 rel.Ite
 		})
 }
 
+// matchBatch runs HER over the live rows of b, re-pointing each
+// match's TupleIdx at the physical row of b it came from.
+func matchBatch(matcher her.Matcher, b *rel.Batch, g *graph.Graph) []her.Match {
+	ms := matcher.Match(b.Relation(), g)
+	for i := range ms {
+		ms[i].TupleIdx = b.RowIdx(ms[i].TupleIdx)
+	}
+	return ms
+}
+
 // linkGenerated streams the m1 × m2 pairs passing connected, under the
 // qualified two-sided output schema shared by every link-join variant.
-func linkGenerated(s1, s2 *rel.Relation, m1, m2 []her.Match, connected func(a, b her.Match) bool) (rel.Generated, error) {
-	name2 := s2.Schema.Name
-	if name2 == s1.Schema.Name {
+// Matches carry physical row indexes into s1 and s2; each output batch
+// gathers both sides' columns by index vector, DefaultBatchSize pairs
+// at a time.
+func linkGenerated(s1, s2 *rel.Batch, m1, m2 []her.Match, connected func(a, b her.Match) bool) (rel.Generated, error) {
+	n1, name2 := s1.Schema().Name, s2.Schema().Name
+	if name2 == n1 {
 		name2 += "2"
 	}
-	q1 := s1.Schema.Qualified(s1.Schema.Name)
-	q2 := s2.Schema.Qualified(name2)
+	q1 := s1.Schema().Qualified(n1)
+	q2 := s2.Schema().Qualified(name2)
 	attrs := append(append([]rel.Attribute(nil), q1.Attrs...), q2.Attrs...)
-	schema, err := rel.TrySchema(s1.Schema.Name+"_l_"+name2, "", attrs...)
+	schema, err := rel.TrySchema(n1+"_l_"+name2, "", attrs...)
 	if err != nil {
 		return rel.Generated{}, err
 	}
 	i, j := 0, 0
-	pull := func() (rel.Tuple, error) {
-		for i < len(m1) {
-			a := m1[i]
-			for j < len(m2) {
-				b := m2[j]
-				j++
-				if !connected(a, b) {
-					continue
+	pull := func() (*rel.Batch, error) {
+		var rows1, rows2 []int32
+		for ; i < len(m1) && len(rows1) < rel.DefaultBatchSize; i, j = i+1, 0 {
+			for ; j < len(m2) && len(rows1) < rel.DefaultBatchSize; j++ {
+				if connected(m1[i], m2[j]) {
+					rows1 = append(rows1, int32(m1[i].TupleIdx))
+					rows2 = append(rows2, int32(m2[j].TupleIdx))
 				}
-				t1 := s1.Tuples[a.TupleIdx]
-				t2 := s2.Tuples[b.TupleIdx]
-				nt := make(rel.Tuple, 0, len(t1)+len(t2))
-				return append(append(nt, t1...), t2...), nil
 			}
-			i++
-			j = 0
+			if j < len(m2) {
+				break // batch full mid-row: resume here
+			}
 		}
-		return nil, nil
+		if len(rows1) == 0 {
+			return nil, nil
+		}
+		out := rel.NewBatch(schema)
+		out.Gather(0, s1, rows1)
+		out.Gather(s1.NumCols(), s2, rows2)
+		return out, nil
 	}
 	return rel.Generated{Schema: schema, Pull: pull}, nil
 }

@@ -262,11 +262,11 @@ func (m *Materialized) SetGLCacheCap(n int) {
 	m.gl.setCap(n)
 }
 
-// restrictMatches narrows a base's pre-computed matches to the tuples
-// present in s (a selection over the base relation), re-indexing TupleIdx
-// into s.
-func restrictMatches(b *BaseMaterialization, s *rel.Relation) []her.Match {
-	keyCol := s.Schema.KeyCol()
+// restrictMatches narrows a base's pre-computed matches to the live
+// rows of s (a selection over the base relation), re-pointing TupleIdx
+// at the physical row of s.
+func restrictMatches(b *BaseMaterialization, s *rel.Batch) []her.Match {
+	keyCol := s.Schema().KeyCol()
 	if keyCol < 0 {
 		return nil
 	}
@@ -275,9 +275,11 @@ func restrictMatches(b *BaseMaterialization, s *rel.Relation) []her.Match {
 		byTID[m.TID.String()] = m
 	}
 	var out []her.Match
-	for ti, t := range s.Tuples {
-		if m, ok := byTID[t[keyCol].String()]; ok {
-			m.TupleIdx = ti
+	keys := s.Col(keyCol)
+	for i, n := 0, s.Rows(); i < n; i++ {
+		r := s.RowIdx(i)
+		if m, ok := byTID[keys.ValueAt(r).String()]; ok {
+			m.TupleIdx = r
 			out = append(out, m)
 		}
 	}

@@ -16,21 +16,14 @@ import (
 // run on a lone serial engine. Run under -race this also proves the
 // shared catalog (relations, graph, materialisation, gL cache,
 // columnar images) is safe for concurrent readers. The grid covers
-// both executors at both ends of the parallelism knob.
+// both ends of the parallelism knob.
 func TestConcurrentEnginesMatchSerial(t *testing.T) {
 	const (
 		sessions         = 8
 		queriesPerWorker = 25
 	)
-	grid := []struct {
-		par        int
-		vectorized bool
-	}{
-		{1, true}, {4, true}, {1, false}, {4, false},
-	}
-	for _, cfg := range grid {
-		name := fmt.Sprintf("par=%d/vectorized=%v", cfg.par, cfg.vectorized)
-		t.Run(name, func(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			f, err := Build(11)
 			if err != nil {
 				t.Fatal(err)
@@ -64,8 +57,7 @@ func TestConcurrentEnginesMatchSerial(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					eng := gsql.NewEngine(f.Cat)
-					eng.Parallelism = cfg.par
-					eng.RowAtATime = !cfg.vectorized
+					eng.Parallelism = par
 					// Each worker walks the query list at its own offset so
 					// different queries overlap in time.
 					for k := 0; k < len(queries); k++ {

@@ -3,8 +3,9 @@
 // relations + oracle-matched materialization), generates seeded random
 // queries spanning every plan family (selects with predicates, order
 // by/limit/distinct, aggregates, cross joins, e-joins and l-joins),
-// and runs each query on a serial engine (Parallelism = 1) and a
-// parallel one, checking the two executions agree.
+// and runs each query on the naive reference evaluator (reference.go),
+// a serial engine (Parallelism = 1) and a parallel one, checking the
+// three agree.
 //
 // The order-preserving exchange makes most plans identical tuple for
 // tuple, but aggregate group order depends on map iteration, so the
@@ -372,6 +373,34 @@ func Diff(a, b *rel.Relation) string {
 	if len(leftovers) > 0 {
 		sort.Strings(leftovers)
 		return fmt.Sprintf("tuples only in first relation: %v", leftovers)
+	}
+	return ""
+}
+
+// DiffOrder returns "" when a and b, two results of query, list the
+// same ORDER BY key values row for row. Diff compares bags, which an
+// ordering bug survives unless a LIMIT happens to cut through it; what
+// SQL does fix is the sequence of the sort keys (rows tying on every
+// key may still swap), so that is what this compares. A query without
+// ORDER BY passes.
+func DiffOrder(query string, a, b *rel.Relation) string {
+	q, err := gsql.Parse(query)
+	if err != nil {
+		return err.Error()
+	}
+	if len(a.Tuples) != len(b.Tuples) {
+		return fmt.Sprintf("row count mismatch: %d vs %d", len(a.Tuples), len(b.Tuples))
+	}
+	for _, key := range q.OrderBy {
+		ca, cb := a.Schema.Col(key.Col), b.Schema.Col(key.Col)
+		if ca < 0 || cb < 0 {
+			return fmt.Sprintf("ORDER BY column %q missing from a result", key.Col)
+		}
+		for i := range a.Tuples {
+			if va, vb := a.Tuples[i][ca], b.Tuples[i][cb]; va.Key() != vb.Key() {
+				return fmt.Sprintf("row %d: %s = %v vs %v", i, key.Col, va, vb)
+			}
+		}
 	}
 	return ""
 }

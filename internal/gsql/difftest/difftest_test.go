@@ -10,11 +10,6 @@ import (
 	"semjoin/internal/gsql"
 )
 
-// TestDifferentialSerialVsParallel is the differential harness proper:
-// for each fixture seed it generates a stream of random queries and
-// checks that a serial engine (Parallelism = 1) and a parallel engine
-// produce the same bag of tuples for every one. In full (non-short)
-// mode it covers at least 200 query/fixture pairs.
 // mustBuild constructs a fixture, failing the test on error.
 func mustBuild(t testing.TB, seed int64) *Fixture {
 	t.Helper()
@@ -25,6 +20,12 @@ func mustBuild(t testing.TB, seed int64) *Fixture {
 	return f
 }
 
+// TestDifferentialSerialVsParallel is the differential harness proper:
+// for each fixture seed it generates a stream of random queries and
+// checks that the reference evaluator, a serial engine (Parallelism =
+// 1) and a parallel engine produce the same bag of tuples for every
+// one. In full (non-short) mode it covers at least 200 query/fixture
+// pairs.
 func TestDifferentialSerialVsParallel(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	queriesPer := 60
@@ -48,7 +49,20 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				t.Fatalf("seed %d query %d %q: serial err=%v, parallel err=%v", seed, i, q, serr, perr)
 			}
 			if d := Diff(sr, pr); d != "" {
-				t.Errorf("seed %d query %d diverged\nquery: %s\ndiff: %s", seed, i, q, d)
+				t.Errorf("seed %d query %d: serial vs parallel diverged\nquery: %s\ndiff: %s", seed, i, q, d)
+			}
+			rr, rerr := Reference(f.Cat, q)
+			if rerr != nil {
+				t.Fatalf("seed %d query %d %q: reference err=%v", seed, i, q, rerr)
+			}
+			if d := Diff(rr, sr); d != "" {
+				t.Errorf("seed %d query %d: reference vs engine diverged\nquery: %s\ndiff: %s", seed, i, q, d)
+			}
+			if d := DiffOrder(q, rr, sr); d != "" {
+				t.Errorf("seed %d query %d: reference vs serial engine order diverged\nquery: %s\ndiff: %s", seed, i, q, d)
+			}
+			if d := DiffOrder(q, rr, pr); d != "" {
+				t.Errorf("seed %d query %d: reference vs parallel engine order diverged\nquery: %s\ndiff: %s", seed, i, q, d)
 			}
 			pairs++
 		}

@@ -2,10 +2,7 @@ package gsql
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -71,7 +68,10 @@ func (c *Catalog) Relation(name string) *rel.Relation {
 }
 
 // Engine plans gSQL queries into pipelined operator trees and drains
-// them against a catalog.
+// them against a catalog: session statements live in session.go, the
+// planner in planner.go and predicate.go, EXPLAIN rendering in
+// explain.go; this file is the executor — statement dispatch, the
+// traced parse/plan/execute run and its accounting.
 type Engine struct {
 	Cat  *Catalog
 	Mode Mode
@@ -82,13 +82,6 @@ type Engine struct {
 	// logical CPU, 1 forces serial execution. Settable per session with
 	// the statement SET PARALLELISM n.
 	Parallelism int
-
-	// RowAtATime disables vectorized execution: WHERE/projection stages
-	// run the classic tuple-at-a-time operators instead of columnar
-	// batch kernels. The zero value selects the vectorized engine.
-	// Settable per session with SET VECTORIZED ON|OFF; the row engine
-	// is kept as the differential-testing reference.
-	RowAtATime bool
 
 	// Plan records, for the last query, one line per semantic join
 	// describing the strategy chosen (static / dynamic / heuristic /
@@ -194,8 +187,6 @@ func (e *Engine) QueryContext(ctx context.Context, input string) (*rel.Relation,
 			return e.setParallelism(f[2:])
 		case two && strings.EqualFold(f[0], "set") && strings.EqualFold(f[1], "slow_query_ms"):
 			return e.setSlowQueryMS(f[2:])
-		case two && strings.EqualFold(f[0], "set") && strings.EqualFold(f[1], "vectorized"):
-			return e.setVectorized(f[2:])
 		case two && strings.EqualFold(f[0], "show") && strings.EqualFold(f[1], "metrics"):
 			return e.showMetrics(f[2:])
 		case two && strings.EqualFold(f[0], "show") && strings.EqualFold(f[1], "session"):
@@ -348,888 +339,4 @@ func (e *Engine) runSpanned(ctx context.Context, root *obs.Span, input string) (
 		return nil, q, err
 	}
 	return out, q, nil
-}
-
-// setParallelism handles the session statement SET PARALLELISM n
-// (n >= 1; SET PARALLELISM DEFAULT restores the GOMAXPROCS default).
-// A zero or negative degree is rejected: there is no zero-worker
-// execution, and silently treating 0 as "default" used to mask typos.
-// It returns a one-row status relation carrying the effective degree of
-// parallelism.
-func (e *Engine) setParallelism(args []string) (*rel.Relation, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("gsql: usage: SET PARALLELISM n|DEFAULT (n >= 1)")
-	}
-	n := 0
-	if !strings.EqualFold(args[0], "default") {
-		var err error
-		n, err = strconv.Atoi(args[0])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("gsql: SET PARALLELISM: want a positive integer or DEFAULT, got %q", args[0])
-		}
-	}
-	e.Parallelism = n
-	out := rel.NewRelation(rel.NewSchema("status", "",
-		rel.Attribute{Name: "parallelism", Type: rel.KindInt},
-	))
-	out.InsertVals(rel.I(int64(e.Par())))
-	return out, nil
-}
-
-// setSlowQueryMS handles SET SLOW_QUERY_MS n: queries slower than n
-// milliseconds land in the slow-query ring (/queries and /metrics
-// surface them); n = 0 disables the classification.
-func (e *Engine) setSlowQueryMS(args []string) (*rel.Relation, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("gsql: usage: SET SLOW_QUERY_MS n (0 = disabled)")
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("gsql: SET SLOW_QUERY_MS: want a non-negative integer, got %q", args[0])
-	}
-	e.qlog().SetSlowThreshold(time.Duration(n) * time.Millisecond)
-	out := rel.NewRelation(rel.NewSchema("status", "",
-		rel.Attribute{Name: "slow_query_ms", Type: rel.KindInt},
-	))
-	out.InsertVals(rel.I(int64(n)))
-	return out, nil
-}
-
-// showMetrics handles SHOW METRICS: the engine registry's snapshot as
-// a sorted (metric, value) relation, histograms exploded into _count,
-// _sum and quantile series.
-func (e *Engine) showMetrics(extra []string) (*rel.Relation, error) {
-	if len(extra) != 0 {
-		return nil, fmt.Errorf("gsql: usage: SHOW METRICS")
-	}
-	snap := e.reg().Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := rel.NewRelation(rel.NewSchema("metrics", "metric",
-		rel.Attribute{Name: "metric", Type: rel.KindString},
-		rel.Attribute{Name: "value", Type: rel.KindString},
-	))
-	for _, k := range keys {
-		out.InsertVals(rel.S(k), rel.S(strconv.FormatFloat(snap[k], 'g', -1, 64)))
-	}
-	return out, nil
-}
-
-// showSession handles SHOW SESSION: the per-session settings as a
-// sorted (setting, value) relation — the effective degree of
-// parallelism, the execution engine (vectorized or row), and the
-// slow-query threshold of this session's query log. Sessions sharing
-// one catalog diverge only in these knobs, so the session-isolation
-// property tests observe leakage (or its absence) through this
-// statement alone.
-func (e *Engine) showSession(extra []string) (*rel.Relation, error) {
-	if len(extra) != 0 {
-		return nil, fmt.Errorf("gsql: usage: SHOW SESSION")
-	}
-	vec := "on"
-	if e.RowAtATime {
-		vec = "off"
-	}
-	out := rel.NewRelation(rel.NewSchema("session", "setting",
-		rel.Attribute{Name: "setting", Type: rel.KindString},
-		rel.Attribute{Name: "value", Type: rel.KindString},
-	))
-	out.InsertVals(rel.S("parallelism"), rel.S(strconv.Itoa(e.Par())))
-	out.InsertVals(rel.S("slow_query_ms"), rel.S(strconv.FormatInt(e.qlog().SlowThreshold().Milliseconds(), 10)))
-	out.InsertVals(rel.S("vectorized"), rel.S(vec))
-	return out, nil
-}
-
-// showTraces handles SHOW TRACES: the retained traces newest-first as
-// a (trace_id, status, duration_ms, spans, op) relation — the gSQL
-// view of the same ring buffer /traces serves.
-func (e *Engine) showTraces(extra []string) (*rel.Relation, error) {
-	if len(extra) != 0 {
-		return nil, fmt.Errorf("gsql: usage: SHOW TRACES")
-	}
-	out := rel.NewRelation(rel.NewSchema("traces", "trace_id",
-		rel.Attribute{Name: "trace_id", Type: rel.KindString},
-		rel.Attribute{Name: "status", Type: rel.KindString},
-		rel.Attribute{Name: "duration_ms", Type: rel.KindFloat},
-		rel.Attribute{Name: "spans", Type: rel.KindInt},
-		rel.Attribute{Name: "op", Type: rel.KindString},
-	))
-	for _, t := range e.traces().List() {
-		out.InsertVals(
-			rel.S(t.ID()),
-			rel.S(t.Status()),
-			rel.F(float64(t.Duration())/float64(time.Millisecond)),
-			rel.I(int64(t.SpanCount())),
-			rel.S(t.Op()),
-		)
-	}
-	return out, nil
-}
-
-// traceQuery handles TRACE <query>: it executes the query with
-// tracing forced on (bypassing sampling), retains the trace, and
-// returns the rendered span tree — phases and per-operator spans
-// grafted in — as a (step, note) relation whose first row carries the
-// trace id for /traces/<id> lookup. Under the network server the
-// query's trace already exists (the server started it at the wire);
-// TRACE then forces that trace to be kept and renders the engine's
-// view of it.
-func (e *Engine) traceQuery(ctx context.Context, rest string) (*rel.Relation, error) {
-	if rest == "" {
-		return nil, fmt.Errorf("gsql: usage: TRACE <query>")
-	}
-	tr := obs.TraceFromContext(ctx)
-	owned := tr == nil
-	if owned {
-		tr = e.tracer().Start(rest, 0)
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
-	tr.SetForced()
-	_, _, err := e.run(ctx, rest)
-	if owned {
-		status := "ok"
-		if err != nil {
-			status = "error"
-		}
-		tr.Finish(status)
-		e.traces().Add(tr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := rel.NewRelation(rel.NewSchema("trace", "",
-		rel.Attribute{Name: "step", Type: rel.KindInt},
-		rel.Attribute{Name: "note", Type: rel.KindString},
-	))
-	out.InsertVals(rel.I(0), rel.S("trace_id: "+tr.ID()))
-	tree := strings.TrimRight(tr.RenderTree(e.LastTrace).String(), "\n")
-	step := int64(1)
-	for _, line := range strings.Split(tree, "\n") {
-		out.InsertVals(rel.I(step), rel.S(line))
-		step++
-	}
-	return out, nil
-}
-
-// Explain executes input (with or without a leading EXPLAIN keyword)
-// and renders the well-behaved verdict, the strategy notes and the
-// operator tree annotated with per-operator rows-out and wall time.
-func (e *Engine) Explain(input string) (string, error) {
-	return e.ExplainContext(context.Background(), input)
-}
-
-// ExplainContext is Explain with cancellation.
-func (e *Engine) ExplainContext(ctx context.Context, input string) (string, error) {
-	trimmed := strings.TrimSpace(input)
-	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "explain") {
-		trimmed = trimmed[7:]
-	}
-	_, q, err := e.run(ctx, trimmed)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	e.writeVerdict(&b, q)
-	b.WriteString(e.LastStats.String())
-	return b.String(), nil
-}
-
-// ExplainAnalyze executes input (stripping a leading EXPLAIN ANALYZE if
-// present) and renders the verdict and strategy notes followed by the
-// query's trace: the parse/plan/execute spans with wall times, the
-// executed operator tree nested under the execute span.
-func (e *Engine) ExplainAnalyze(input string) (string, error) {
-	return e.ExplainAnalyzeContext(context.Background(), input)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with cancellation.
-func (e *Engine) ExplainAnalyzeContext(ctx context.Context, input string) (string, error) {
-	trimmed := strings.TrimSpace(input)
-	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "explain") {
-		trimmed = strings.TrimSpace(trimmed[7:])
-	}
-	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "analyze") {
-		trimmed = trimmed[7:]
-	}
-	_, q, err := e.run(ctx, trimmed)
-	if err != nil {
-		return "", err
-	}
-	return e.renderAnalyze(q), nil
-}
-
-// writeVerdict writes the well-behaved verdict and strategy notes.
-func (e *Engine) writeVerdict(b *strings.Builder, q *Query) {
-	verdict := "false"
-	if e.WellBehaved(q) {
-		verdict = "true"
-	}
-	fmt.Fprintf(b, "well-behaved: %s\n", verdict)
-	for _, p := range e.Plan {
-		fmt.Fprintf(b, "strategy: %s\n", p)
-	}
-}
-
-// renderAnalyze merges the last trace with the last operator stats:
-// the span tree renders one line per span, and the operator PlanLines
-// nest under the execute span one level deeper.
-func (e *Engine) renderAnalyze(q *Query) string {
-	var b strings.Builder
-	e.writeVerdict(&b, q)
-	if e.LastTrace == nil {
-		return b.String()
-	}
-	e.LastTrace.Walk(func(s *obs.Span, depth int) {
-		indent := strings.Repeat("  ", depth)
-		note := ""
-		if s.Note != "" {
-			note = " [" + s.Note + "]"
-		}
-		fmt.Fprintf(&b, "%s%s%s  time=%s\n", indent, s.Name, note, s.Duration.Round(time.Microsecond))
-		if s.Name == "execute" && e.LastStats != nil {
-			for _, l := range e.LastStats.Lines {
-				nl := l
-				nl.Depth += depth + 1
-				b.WriteString(nl.String())
-				b.WriteByte('\n')
-			}
-		}
-	})
-	return b.String()
-}
-
-// analyzeRelation renders the EXPLAIN ANALYZE output as a (step, note)
-// relation, one line per row.
-func (e *Engine) analyzeRelation(q *Query) *rel.Relation {
-	plan := rel.NewRelation(rel.NewSchema("plan", "",
-		rel.Attribute{Name: "step", Type: rel.KindInt},
-		rel.Attribute{Name: "note", Type: rel.KindString},
-	))
-	text := strings.TrimRight(e.renderAnalyze(q), "\n")
-	for i, line := range strings.Split(text, "\n") {
-		plan.InsertVals(rel.I(int64(i)), rel.S(line))
-	}
-	return plan
-}
-
-// explainRelation renders the EXPLAIN result as a (step, note)
-// relation: the verdict, the strategy notes, then the operator tree.
-func (e *Engine) explainRelation(q *Query) *rel.Relation {
-	plan := rel.NewRelation(rel.NewSchema("plan", "",
-		rel.Attribute{Name: "step", Type: rel.KindInt},
-		rel.Attribute{Name: "note", Type: rel.KindString},
-	))
-	verdict := "well-behaved: false"
-	if e.WellBehaved(q) {
-		verdict = "well-behaved: true"
-	}
-	plan.InsertVals(rel.I(0), rel.S(verdict))
-	step := int64(1)
-	for _, p := range e.Plan {
-		plan.InsertVals(rel.I(step), rel.S(p))
-		step++
-	}
-	if e.LastStats != nil {
-		for _, l := range e.LastStats.Lines {
-			plan.InsertVals(rel.I(step), rel.S(l.String()))
-			step++
-		}
-	}
-	return plan
-}
-
-// provenance tracks, bottom-up, whether a (sub-)result still refers to the
-// tuples of exactly one base relation — the well-behaved condition (2) of
-// §IV-A. keyed reports that the base's tuple id survives in the schema.
-type provenance struct {
-	base  string
-	keyed bool
-}
-
-// WellBehaved reports whether every semantic join in q is well-behaved
-// w.r.t. the catalog's materialisation (A ⊆ AR and single-base
-// provenance), via the linear-time bottom-up scan the paper describes.
-func (e *Engine) WellBehaved(q *Query) bool {
-	ok := true
-	var walkQuery func(*Query) provenance
-	var walkFrom func(*FromItem) provenance
-	walkFrom = func(f *FromItem) provenance {
-		switch f.Kind {
-		case FromTable:
-			r := e.Cat.Relation(f.Table)
-			if r == nil {
-				ok = false
-				return provenance{}
-			}
-			return provenance{base: f.Table, keyed: r.Schema.Key != ""}
-		case FromSubquery:
-			return walkQuery(f.Sub)
-		case FromEJoin:
-			p := walkFrom(f.Source)
-			if p.base == "" || e.Cat.Mat == nil ||
-				!e.Cat.Mat.WellBehavedKeywords(p.base, f.Keywords) {
-				ok = false
-			}
-			return p
-		case FromLJoin:
-			pl := walkFrom(f.Left)
-			pr := walkFrom(f.Right)
-			if pl.base == "" || pr.base == "" || e.Cat.Mat == nil ||
-				e.Cat.Mat.Base(pl.base) == nil || e.Cat.Mat.Base(pr.base) == nil {
-				ok = false
-			}
-			return provenance{}
-		}
-		return provenance{}
-	}
-	walkQuery = func(q *Query) provenance {
-		if len(q.From) == 1 && len(q.GroupBy) == 0 && !hasAgg(q.Select) {
-			p := walkFrom(&q.From[0])
-			// Projection may drop the key; condition (2)(b) still allows
-			// single-base provenance.
-			return p
-		}
-		for i := range q.From {
-			walkFrom(&q.From[i])
-		}
-		return provenance{}
-	}
-	walkQuery(q)
-	return ok
-}
-
-func hasAgg(items []SelectItem) bool {
-	for _, it := range items {
-		if it.Agg != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// planQuery builds the operator tree for a query and returns its root
-// plus provenance. Validation that needs only plan-time schemas
-// happens here; the rest surfaces through the root's Open.
-func (e *Engine) planQuery(q *Query) (rel.Iterator, provenance, error) {
-	if len(q.From) == 0 {
-		return nil, provenance{}, fmt.Errorf("gsql: empty FROM")
-	}
-	// Link-join predicate pushdown: the paper's Q3 algebra is
-	// σ_P1(S1) ⋈_G σ_P2(S2) — single-side conjuncts of the WHERE clause
-	// move into the join sides, shrinking the pairwise connectivity work
-	// and making the gL cache keyed by the actual predicates.
-	where := q.Where
-	var push *linkFilters
-	if len(q.From) == 1 && q.From[0].Kind == FromLJoin && where != nil {
-		push, where = e.splitLinkFilters(&q.From[0], where)
-	}
-
-	// Plan FROM items.
-	type bound struct {
-		it   rel.Iterator
-		prov provenance
-	}
-	var parts []bound
-	for i := range q.From {
-		var it rel.Iterator
-		var p provenance
-		var err error
-		if i == 0 && push != nil {
-			it, p, err = e.planLJoin(&q.From[0], push)
-		} else {
-			it, p, err = e.planFrom(&q.From[i])
-		}
-		if err != nil {
-			return nil, provenance{}, err
-		}
-		parts = append(parts, bound{it, p})
-	}
-	// Combine with an n-ary cross join (flat qualified names). The first
-	// binding streams; the rest materialise at Open.
-	cur := parts[0].it
-	prov := parts[0].prov
-	if len(parts) > 1 {
-		its := make([]rel.Iterator, len(parts))
-		names := make([]string, len(parts))
-		for i := range parts {
-			its[i] = parts[i].it
-			names[i] = q.From[i].Name()
-			if names[i] == "" {
-				names[i] = fmt.Sprintf("f%d", i)
-			}
-		}
-		cur = rel.NewCrossJoin(its, names)
-		prov = provenance{}
-	}
-	// WHERE (minus any conjuncts pushed into a link join) and, when no
-	// aggregation follows, the projection — collected as pipeline
-	// stages. In the default vectorized mode the stages are batch
-	// kernels over columnar data (compiled predicates, zero-copy
-	// projection); SET VECTORIZED OFF selects the classic per-tuple
-	// operators. Either way, with parallelism the stage chain becomes
-	// one exchange's sub-pipeline: the input splits into morsels, each
-	// filtered and projected on its own worker, and the outputs merge
-	// back in morsel order — the exact serial tuple sequence, just
-	// produced on Par() workers.
-	agg := hasAgg(q.Select) || len(q.GroupBy) > 0
-	if e.RowAtATime {
-		var stages []rel.PipelineBuilder
-		if where != nil {
-			w := where
-			stages = append(stages, func(in rel.Iterator) rel.Iterator {
-				return rel.NewSelectWith("select", in, func(s *rel.Schema) (rel.Pred, error) {
-					return func(t rel.Tuple) bool { return w.Eval(s, t) }, nil
-				})
-			})
-		}
-		if !agg {
-			if proj := e.projectStage(q); proj != nil {
-				stages = append(stages, proj)
-			}
-		}
-		cur = e.applyStages(cur, stages)
-	} else {
-		var stages []rel.BatchPipelineBuilder
-		if where != nil {
-			stages = append(stages, batchFilterStage(where))
-		}
-		if !agg {
-			if proj := e.batchProjectStage(q); proj != nil {
-				stages = append(stages, proj)
-			}
-		}
-		cur = e.applyBatchStages(cur, stages)
-	}
-	// Aggregation (the projection stage is already applied otherwise).
-	out := cur
-	if agg {
-		var err error
-		out, err = e.planAggregate(q, cur)
-		if err != nil {
-			return nil, provenance{}, err
-		}
-		if q.Having != nil {
-			h := q.Having
-			out = rel.NewSelectWith("having", out, func(s *rel.Schema) (rel.Pred, error) {
-				return func(t rel.Tuple) bool { return h.Eval(s, t) }, nil
-			})
-		}
-		prov = provenance{}
-	} else if prov.base != "" {
-		// Projection keeps provenance; key survival decides keyed.
-		if base := e.Cat.Relation(prov.base); base != nil {
-			if s := out.Schema(); s != nil {
-				prov.keyed = s.Has(base.Schema.Key)
-			} else {
-				prov.keyed = selectKeepsKey(q.Select, base.Schema.Key, prov.keyed)
-			}
-		}
-	}
-	if q.Distinct {
-		out = rel.NewDistinct(out)
-	}
-	for i := len(q.OrderBy) - 1; i >= 0; i-- { // stable sort: minor keys first
-		key := q.OrderBy[i]
-		out = rel.NewSort(out, key.Col)
-		if key.Desc {
-			out = rel.NewReverse(out)
-		}
-	}
-	if q.Limit >= 0 {
-		out = rel.NewLimit(out, q.Limit)
-	}
-	return out, prov, nil
-}
-
-// selectKeepsKey approximates key survival from the SELECT list when
-// the output schema is only known after Open (opaque semantic-join
-// sources): stars keep whatever the source had, explicit items keep
-// the key if one of them names it.
-func selectKeepsKey(items []SelectItem, key string, fromKeyed bool) bool {
-	if key == "" {
-		return false
-	}
-	for _, it := range items {
-		if it.Star || strings.HasSuffix(it.Col, ".*") {
-			if fromKeyed {
-				return true
-			}
-			continue
-		}
-		if it.OutName() == key || it.Col == key || strings.HasSuffix(it.Col, "."+key) {
-			return true
-		}
-	}
-	return false
-}
-
-// applyStages chains per-tuple pipeline stages onto cur: inline when
-// serial, as one morsel-driven exchange when the engine is parallel.
-func (e *Engine) applyStages(cur rel.Iterator, stages []rel.PipelineBuilder) rel.Iterator {
-	if len(stages) == 0 {
-		return cur
-	}
-	combined := func(in rel.Iterator) rel.Iterator {
-		for _, s := range stages {
-			in = s(in)
-		}
-		return in
-	}
-	if p := e.Par(); p > 1 {
-		return rel.NewExchange(cur, p, combined)
-	}
-	return combined(cur)
-}
-
-// projectStage returns the SELECT list (no aggregates) as a transform
-// stage: star expansion, validation and column renaming bind once the
-// input schema is known. A bare SELECT * is the identity (nil stage).
-// The transform is stateless per tuple, so with parallelism it runs as
-// part of an exchange's sub-pipeline over morsels.
-func (e *Engine) projectStage(q *Query) rel.PipelineBuilder {
-	if len(q.Select) == 1 && q.Select[0].Star {
-		return nil
-	}
-	sel := q.Select
-	return func(in rel.Iterator) rel.Iterator {
-		return rel.NewTransform("project", in, func(in *rel.Schema) (*rel.Schema, func(rel.Tuple) (rel.Tuple, error), error) {
-			schema, cols, err := resolveProjection(sel, in)
-			if err != nil {
-				return nil, nil, err
-			}
-			fn := func(t rel.Tuple) (rel.Tuple, error) {
-				nt := make(rel.Tuple, len(cols))
-				for i, c := range cols {
-					nt[i] = t[c]
-				}
-				return nt, nil
-			}
-			return schema, fn, nil
-		})
-	}
-}
-
-// renamedSchema renames projected attributes to their output names,
-// deduplicating collisions with an _N suffix and keeping the key when
-// an attribute still carries its name (the eager renameColumns rule).
-func renamedSchema(name, key string, attrs []rel.Attribute, outNames []string) (*rel.Schema, error) {
-	renamed := make([]rel.Attribute, len(outNames))
-	seen := map[string]int{}
-	for i, n := range outNames {
-		seen[n]++
-		if seen[n] > 1 {
-			n = fmt.Sprintf("%s_%d", n, seen[n])
-		}
-		renamed[i] = rel.Attribute{Name: n, Type: attrs[i].Type}
-	}
-	outKey := ""
-	for _, a := range renamed {
-		if a.Name == key {
-			outKey = a.Name
-		}
-	}
-	return rel.TrySchema(name, outKey, renamed...)
-}
-
-// planAggregate applies GROUP BY + aggregates and projects in SELECT
-// order (validation happens at plan time when the input schema is
-// static, otherwise at Open).
-func (e *Engine) planAggregate(q *Query, cur rel.Iterator) (rel.Iterator, error) {
-	var specs []rel.AggSpec
-	var order []string // output column order
-	for _, it := range q.Select {
-		switch {
-		case it.Star:
-			return nil, fmt.Errorf("gsql: SELECT * cannot be combined with aggregates")
-		case it.Agg != "":
-			var fn rel.AggFunc
-			switch it.Agg {
-			case "count":
-				fn = rel.AggCount
-			case "sum":
-				fn = rel.AggSum
-			case "avg":
-				fn = rel.AggAvg
-			case "min":
-				fn = rel.AggMin
-			case "max":
-				fn = rel.AggMax
-			}
-			specs = append(specs, rel.AggSpec{Func: fn, Attr: it.Arg, As: it.OutName()})
-			order = append(order, it.OutName())
-		default:
-			inGroup := false
-			for _, g := range q.GroupBy {
-				if g == it.Col {
-					inGroup = true
-				}
-			}
-			if !inGroup {
-				return nil, fmt.Errorf("gsql: column %q must appear in GROUP BY", it.Col)
-			}
-			order = append(order, it.Col)
-		}
-	}
-	agg := rel.NewAggregate(cur, q.GroupBy, specs)
-	return rel.NewProject(agg, order...), nil
-}
-
-// planFrom plans one FROM item.
-func (e *Engine) planFrom(f *FromItem) (rel.Iterator, provenance, error) {
-	switch f.Kind {
-	case FromTable:
-		r := e.Cat.Relation(f.Table)
-		if r == nil {
-			return nil, provenance{}, fmt.Errorf("gsql: unknown relation %q", f.Table)
-		}
-		var it rel.Iterator = rel.NewScan(r)
-		if f.Alias != "" {
-			it = rel.NewRename(it, f.Alias)
-		}
-		return it, provenance{base: f.Table, keyed: r.Schema.Key != ""}, nil
-	case FromSubquery:
-		it, p, err := e.planQuery(f.Sub)
-		if err != nil {
-			return nil, provenance{}, err
-		}
-		if f.Alias != "" {
-			it = rel.NewRename(it, f.Alias)
-		}
-		return it, p, nil
-	case FromEJoin:
-		return e.planEJoin(f)
-	case FromLJoin:
-		return e.planLJoin(f, nil)
-	}
-	return nil, provenance{}, fmt.Errorf("gsql: bad FROM item")
-}
-
-// planEJoin plans an enrichment join, choosing the strategy per §IV.
-func (e *Engine) planEJoin(f *FromItem) (rel.Iterator, provenance, error) {
-	src, prov, err := e.planFrom(f.Source)
-	if err != nil {
-		return nil, provenance{}, err
-	}
-	g := e.Cat.Graphs[f.Graph]
-	if g == nil {
-		return nil, provenance{}, fmt.Errorf("gsql: unknown graph %q", f.Graph)
-	}
-	kind := f.Source.Kind
-	joinName := "dynamic"
-	if kind == FromTable {
-		joinName = "static"
-	}
-
-	var out rel.Iterator
-	switch {
-	case e.Mode != ModeBaseline && e.Mode != ModeHeuristic &&
-		prov.base != "" && prov.keyed && e.Cat.Mat != nil &&
-		e.Cat.Mat.WellBehavedKeywords(prov.base, f.Keywords):
-		out, err = e.Cat.Mat.StaticEnrichIter(prov.base, src, f.Keywords)
-		e.note("e-join(%s): well-behaved, %s over materialised h(D,G)", f.Graph, joinName)
-	case e.Mode != ModeBaseline && prov.base != "" && !prov.keyed && e.Cat.Mat != nil &&
-		e.Cat.Mat.WellBehavedKeywords(prov.base, f.Keywords) && e.Mode != ModeHeuristic:
-		// Condition (2)(b): recover tuple ids by joining back to the base
-		// on the surviving attributes, then join statically.
-		base := e.Cat.Relation(prov.base)
-		rejoined := rel.NewNaturalJoin(src, rel.NewScan(base))
-		out, err = e.Cat.Mat.StaticEnrichIter(prov.base, rejoined, f.Keywords)
-		e.note("e-join(%s): well-behaved via id recovery, %s", f.Graph, joinName)
-	case e.Mode != ModeBaseline && e.Cat.Heur != nil:
-		out = core.HeuristicEnrichIter(e.Cat.Heur, src, f.Keywords)
-		e.note("e-join(%s): heuristic via gτ", f.Graph)
-	default:
-		cfg := e.Cat.RExt
-		cfg.K = e.Cat.K
-		if cfg.Obs == nil {
-			cfg.Obs = e.reg()
-		}
-		out = core.BaselineEnrichIter(g, e.Cat.Models, e.Cat.Matcher, f.Keywords, cfg, src)
-		e.note("e-join(%s): conceptual baseline (HER+RExt online)", f.Graph)
-	}
-	if err != nil {
-		return nil, provenance{}, err
-	}
-	if f.Alias != "" {
-		out = rel.NewRename(out, f.Alias)
-	}
-	return out, prov, nil
-}
-
-// linkFilters carries the WHERE conjuncts pushed into a link join's sides.
-type linkFilters struct {
-	left, right Expr
-	leftSig     string
-	rightSig    string
-}
-
-// splitLinkFilters partitions a WHERE conjunction into left-side,
-// right-side and residual predicates for a single l-join FROM clause.
-// A conjunct moves to a side iff every column it references resolves in
-// that side's (aliased) schema and not ambiguously in both. The sides
-// are planned (not executed) just for their schemas; when a side's
-// schema is only known after Open, pushdown is skipped.
-func (e *Engine) splitLinkFilters(f *FromItem, where Expr) (*linkFilters, Expr) {
-	mark := len(e.Plan)
-	left, _, errL := e.planFrom(f.Left)
-	right, _, errR := e.planFrom(f.Right)
-	e.Plan = e.Plan[:mark] // probing must not leave strategy notes
-	if errL != nil || errR != nil {
-		return nil, where // let normal planning surface the error
-	}
-	leftSchema, rightSchema := left.Schema(), right.Schema()
-	if leftSchema == nil || rightSchema == nil {
-		return nil, where
-	}
-	n1, n2 := linkSideNames(f)
-	ls := leftSchema.Qualified(n1)
-	rs := rightSchema.Qualified(n2)
-
-	var lf, rf, rest Expr
-	addTo := func(dst *Expr, c Expr) {
-		if *dst == nil {
-			*dst = c
-		} else {
-			*dst = And{L: *dst, R: c}
-		}
-	}
-	for _, c := range splitConjuncts(where) {
-		cols := Columns(c)
-		inL, inR := true, true
-		for _, col := range cols {
-			if ls.Col(col) < 0 && leftSchema.Col(col) < 0 {
-				inL = false
-			}
-			if rs.Col(col) < 0 && rightSchema.Col(col) < 0 {
-				inR = false
-			}
-		}
-		switch {
-		case len(cols) == 0:
-			addTo(&rest, c)
-		case inL && !inR:
-			addTo(&lf, c)
-		case inR && !inL:
-			addTo(&rf, c)
-		default:
-			addTo(&rest, c)
-		}
-	}
-	if lf == nil && rf == nil {
-		return nil, where
-	}
-	out := &linkFilters{left: lf, right: rf, leftSig: "true", rightSig: "true"}
-	if lf != nil {
-		out.leftSig = lf.String()
-	}
-	if rf != nil {
-		out.rightSig = rf.String()
-	}
-	return out, rest
-}
-
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
-func splitConjuncts(e Expr) []Expr {
-	if a, ok := e.(And); ok {
-		return append(splitConjuncts(a.L), splitConjuncts(a.R)...)
-	}
-	return []Expr{e}
-}
-
-func linkSideNames(f *FromItem) (string, string) {
-	n1, n2 := f.Left.Name(), f.Right.Name()
-	if n1 == "" {
-		n1 = "left"
-	}
-	if n2 == "" || n2 == n1 {
-		n2 += "2"
-		if n2 == "2" {
-			n2 = "right"
-		}
-	}
-	return n1, n2
-}
-
-// planLJoin plans a link join, with optional pushed-down side filters.
-func (e *Engine) planLJoin(f *FromItem, filters *linkFilters) (rel.Iterator, provenance, error) {
-	g := e.Cat.Graphs[f.Graph]
-	if g == nil {
-		return nil, provenance{}, fmt.Errorf("gsql: unknown graph %q", f.Graph)
-	}
-	s1, p1, err := e.planFrom(f.Left)
-	if err != nil {
-		return nil, provenance{}, err
-	}
-	s2, p2, err := e.planFrom(f.Right)
-	if err != nil {
-		return nil, provenance{}, err
-	}
-	// Give both sides distinct names for qualified output attributes.
-	n1, n2 := linkSideNames(f)
-	s1 = rel.NewRename(s1, n1)
-	s2 = rel.NewRename(s2, n2)
-
-	// Apply pushed-down side predicates (σ_P1 / σ_P2 of the paper's Q3
-	// algebra) before computing connectivity.
-	sig1, sig2 := predSignature(f.Left), predSignature(f.Right)
-	if filters != nil {
-		if lf := filters.left; lf != nil {
-			s1 = rel.NewSelectWith("select σ_P1", s1, func(s *rel.Schema) (rel.Pred, error) {
-				return func(t rel.Tuple) bool { return lf.Eval(s, t) }, nil
-			})
-		}
-		if rf := filters.right; rf != nil {
-			s2 = rel.NewSelectWith("select σ_P2", s2, func(s *rel.Schema) (rel.Pred, error) {
-				return func(t rel.Tuple) bool { return rf.Eval(s, t) }, nil
-			})
-		}
-		sig1 += "&" + filters.leftSig
-		sig2 += "&" + filters.rightSig
-	}
-
-	var out rel.Iterator
-	switch {
-	case e.Mode == ModeHeuristic && e.Cat.Heur != nil:
-		out = core.HeuristicLinkIter(e.Cat.Heur, g, e.Cat.K, s1, s2)
-		e.note("l-join(%s): heuristic via gτ alignment", f.Graph)
-	case e.Mode != ModeBaseline && p1.base != "" && p2.base != "" && e.Cat.Mat != nil &&
-		e.Cat.Mat.Base(p1.base) != nil && e.Cat.Mat.Base(p2.base) != nil:
-		key := core.LinkCacheKey(p1.base, sig1, p2.base, sig2, e.Cat.K)
-		out = e.Cat.Mat.StaticLinkIter(p1.base, s1, p2.base, s2, e.Cat.K, e.Par(), key)
-		e.note("l-join(%s): well-behaved over pre-computed matches (gL key %s)", f.Graph, key)
-	default:
-		out = core.LinkJoinIter(g, e.Cat.Matcher, e.Cat.K, e.Par(), s1, s2)
-		e.note("l-join(%s): online bidirectional search", f.Graph)
-	}
-	if f.Alias != "" {
-		out = rel.NewRename(out, f.Alias)
-	}
-	return out, provenance{}, nil
-}
-
-// predSignature renders the selection predicates of a FROM side for the
-// gL cache key (§IV-A: gL is keyed by the predicate sets of the two
-// sub-queries).
-func predSignature(f *FromItem) string {
-	switch f.Kind {
-	case FromTable:
-		return "true"
-	case FromSubquery:
-		parts := []string{}
-		if f.Sub.Where != nil {
-			parts = append(parts, f.Sub.Where.String())
-		}
-		sort.Strings(parts)
-		return strings.Join(parts, "&")
-	case FromEJoin:
-		return "e:" + predSignature(f.Source)
-	}
-	return "?"
-}
-
-func (e *Engine) note(format string, args ...any) {
-	e.Plan = append(e.Plan, fmt.Sprintf(format, args...))
 }

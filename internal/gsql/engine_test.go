@@ -398,6 +398,32 @@ func TestEngineOrderByMultipleKeys(t *testing.T) {
 	}
 }
 
+// TestEngineOrderByDescMajorKeepsMinorOrder pins the sort kernel's
+// per-key direction: DESC used to be a stable ascending sort followed
+// by a reverse, which also reversed the order the minor keys had
+// established within each run of equal major keys.
+func TestEngineOrderByDescMajorKeepsMinorOrder(t *testing.T) {
+	f := getFintech(t)
+	e := NewEngine(f.cat)
+	out, err := e.Query(`select type, price, pid from product order by type desc, price`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != f.products.Len() {
+		t.Fatalf("rows = %d, want %d", out.Len(), f.products.Len())
+	}
+	for i := 1; i < out.Len(); i++ {
+		t0, t1 := out.Get(out.Tuples[i-1], "type").Str(), out.Get(out.Tuples[i], "type").Str()
+		if t0 < t1 {
+			t.Fatalf("row %d: type %q after %q, want descending", i, t1, t0)
+		}
+		p0, p1 := out.Get(out.Tuples[i-1], "price").Int(), out.Get(out.Tuples[i], "price").Int()
+		if t0 == t1 && p0 > p1 {
+			t.Fatalf("row %d: price %d after %d within type %q, want ascending", i, p1, p0, t0)
+		}
+	}
+}
+
 func TestEngineLimitZeroAndDistinct(t *testing.T) {
 	f := getFintech(t)
 	e := NewEngine(f.cat)

@@ -51,6 +51,10 @@ func TestErrorPathsLeaveEngineUsable(t *testing.T) {
 		{"parallelism-zero", "set parallelism 0"},
 		{"parallelism-negative", "set parallelism -4"},
 		{"parallelism-garbage", "set parallelism lots"},
+		// SET VECTORIZED left with the row engine: it is an unrecognised
+		// statement like any other now.
+		{"vectorized-off", "set vectorized off"},
+		{"vectorized-on", "SET VECTORIZED ON"},
 		// EXPLAIN ANALYZE executes the query, so a failing body must
 		// surface its error through the analyze path without panicking.
 		{"explain-analyze-unknown-relation", "explain analyze select pid from nope"},

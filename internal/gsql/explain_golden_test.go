@@ -43,7 +43,7 @@ func redactExplain(text string) string {
 		out += "  rows=" + strconv.FormatInt(l.Rows, 10) + " time=<T>"
 		// Batch counts are deterministic (input size over batch size,
 		// identical serial vs parallel by the one-batch-per-morsel
-		// rule), so vectorized annotations stay in the golden verbatim.
+		// rule), so batch annotations stay in the golden verbatim.
 		if l.Batches > 0 {
 			out += " batches=" + strconv.FormatInt(l.Batches, 10) +
 				" rows/batch=" + strconv.FormatInt(l.RowsPerBatch(), 10)

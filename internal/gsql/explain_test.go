@@ -3,6 +3,7 @@ package gsql
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestEngineExplainEnrichmentJoin(t *testing.T) {
@@ -105,5 +106,41 @@ func TestEngineExplainRelationIncludesOperatorTree(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("EXPLAIN relation lacks operator rows:\n%v", out)
+	}
+}
+
+// TestOperatorElapsedIsInclusive pins OpStats.Elapsed as documented:
+// every operator of an executed plan reports the time of its whole
+// subtree, so it is positive and no less than its direct children's
+// sum.
+func TestOperatorElapsedIsInclusive(t *testing.T) {
+	f := getFintech(t)
+	for _, q := range []string{
+		`select risk, company from product e-join G <company, country> as T where T.country = 'UK'`,
+		`select customer.cid, customer2.cid from customer l-join <Gp> customer as customer2 where customer.credit = 'fair'`,
+		`select risk, count(*) as n from product where price >= 70 group by risk order by risk desc`,
+	} {
+		for _, par := range []int{1, 2} {
+			e := NewEngine(f.cat)
+			e.Parallelism = par
+			if _, err := e.Query(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			lines := e.LastStats.Lines
+			for i, l := range lines {
+				if l.Elapsed <= 0 {
+					t.Errorf("par=%d %q: %q reports Elapsed = %v\n%s", par, q, l.Label, l.Elapsed, e.LastStats)
+				}
+				var below time.Duration
+				for j := i + 1; j < len(lines) && lines[j].Depth > l.Depth; j++ {
+					if lines[j].Depth == l.Depth+1 {
+						below += lines[j].Elapsed
+					}
+				}
+				if l.Elapsed < below {
+					t.Errorf("par=%d %q: %q Elapsed %v < its children's %v\n%s", par, q, l.Label, l.Elapsed, below, e.LastStats)
+				}
+			}
+		}
 	}
 }

@@ -19,10 +19,10 @@ func showSessionMap(t *testing.T, e *Engine) map[string]string {
 func TestShowSessionStatement(t *testing.T) {
 	e, _, _ := newObsEngine(t)
 	got := showSessionMap(t, e)
-	if len(got) != 3 {
-		t.Fatalf("SHOW SESSION rows = %v, want 3 settings", got)
+	if len(got) != 2 {
+		t.Fatalf("SHOW SESSION rows = %v, want 2 settings", got)
 	}
-	if got["vectorized"] != "on" || got["slow_query_ms"] != "0" {
+	if got["slow_query_ms"] != "0" {
 		t.Fatalf("defaults = %v", got)
 	}
 	if got["parallelism"] == "" || got["parallelism"] == "0" {
@@ -31,14 +31,14 @@ func TestShowSessionStatement(t *testing.T) {
 
 	// Every SET knob is reflected.
 	for _, q := range []string{
-		`set parallelism 2`, `set vectorized off`, `set slow_query_ms 150`,
+		`set parallelism 2`, `set slow_query_ms 150`,
 	} {
 		if _, err := e.Query(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
 	got = showSessionMap(t, e)
-	if got["parallelism"] != "2" || got["vectorized"] != "off" || got["slow_query_ms"] != "150" {
+	if got["parallelism"] != "2" || got["slow_query_ms"] != "150" {
 		t.Fatalf("after SETs: %v", got)
 	}
 
@@ -46,7 +46,7 @@ func TestShowSessionStatement(t *testing.T) {
 	// settings are engine-scoped, which is what makes them
 	// session-scoped in the network server.
 	sibling, _, _ := newObsEngine(t)
-	if got := showSessionMap(t, sibling); got["parallelism"] == "2" && got["vectorized"] == "off" {
+	if got := showSessionMap(t, sibling); got["slow_query_ms"] == "150" {
 		t.Fatalf("sibling engine inherited session settings: %v", got)
 	}
 

@@ -9,7 +9,7 @@ import (
 // relPkg is the columnar execution package from PR 7.
 const relPkg = "semjoin/internal/rel"
 
-// BatchSel enforces the vectorized-execution contracts of internal/rel:
+// BatchSel enforces the batch contracts of internal/rel:
 //
 //  1. selection-vector blindness: inside a loop bounded by b.Rows(),
 //     the live-row counter maps physical data only through b.RowIdx(i)
@@ -23,14 +23,9 @@ const relPkg = "semjoin/internal/rel"
 //     downstream on a channel, AppendTuple/Refine on it races with the
 //     consumer. Reassigning the variable to a fresh batch (the
 //     producer-loop idiom) resets the obligation.
-//  3. no row-at-a-time bridge inside batch kernels: a NextBatch/next
-//     method that returns (*Batch, error) must not pull tuples with
-//     iterator.Next() — that reintroduces the per-row virtual-call
-//     overhead the batch engine exists to amortise. The one designed
-//     bridge (batcherKernel) carries a //lint:allow.
 var BatchSel = &Analyzer{
 	Name: "batchsel",
-	Doc:  "batch kernels must honor the selection vector, never mutate a handed-off batch, and never pull row-at-a-time inside NextBatch",
+	Doc:  "batch kernels must honor the selection vector and never mutate a handed-off batch",
 	Run:  runBatchSel,
 }
 
@@ -48,7 +43,6 @@ func runBatchSel(p *Pass) error {
 				continue
 			}
 			checkSelBlindLoops(p, fd.Body)
-			checkRowBridge(p, fd)
 			for _, b := range funcBodies(fd.Body) {
 				checkMutateAfterSend(p, b, NewCFG(b))
 			}
@@ -305,38 +299,4 @@ func checkMutateAfterSend(p *Pass, body *ast.BlockStmt, cfg *CFG) {
 			}
 		}
 	}
-}
-
-// checkRowBridge implements rule 3: no iterator.Next() calls inside a
-// batch-producing kernel method.
-func checkRowBridge(p *Pass, fd *ast.FuncDecl) {
-	if fd.Name.Name != "NextBatch" && fd.Name.Name != "next" {
-		return
-	}
-	if !returnsBatch(p, fd) {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Next" {
-			return true
-		}
-		if !isIteratorType(p.TypeOf(sel.X)) {
-			return true
-		}
-		p.Reportf(call.Pos(), "row-at-a-time Next inside a batch kernel (pull NextBatch from children instead)")
-		return true
-	})
-}
-
-// returnsBatch reports whether fd's first result is *rel.Batch.
-func returnsBatch(p *Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
-		return false
-	}
-	return isNamedType(p.TypeOf(fd.Type.Results.List[0].Type), relPkg, "Batch")
 }

@@ -17,11 +17,10 @@ import (
 //
 // ). Two rules:
 //
-//  1. A local variable with an iterator-shaped method set (Open, Next
-//     or NextBatch, Close) that has Open called on it, never has Close
-//     called on it
-//     anywhere in the function, and does not escape (returned, passed
-//     to a call, stored, sent) is a leak.
+//  1. A local variable with an iterator-shaped method set (Open,
+//     NextBatch, Close) that has Open called on it, never has Close
+//     called on it anywhere in the function, and does not escape
+//     (returned, passed to a call, stored, sent) is a leak.
 //  2. An `if err := x.Open(...); err != nil` (or `err = x.Open(...)`
 //     followed by `if err != nil`) whose body returns without closing
 //     x — and with no earlier `defer x.Close()` — leaks everything the
@@ -33,9 +32,8 @@ var IterClose = &Analyzer{
 }
 
 // isIteratorType reports whether t's method set (or its pointer's)
-// contains Open, an advance method (Next or NextBatch) and Close — the
-// shape shared by rel.Iterator, rel.BatchIterator and every concrete
-// operator, row or vectorized.
+// contains Open, NextBatch and Close — the shape of rel.Iterator and
+// every concrete operator.
 func isIteratorType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -46,7 +44,7 @@ func isIteratorType(t types.Type) bool {
 			switch ms.At(i).Obj().Name() {
 			case "Open":
 				open = true
-			case "Next", "NextBatch":
+			case "NextBatch":
 				next = true
 			case "Close":
 				closed = true

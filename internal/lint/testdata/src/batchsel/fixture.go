@@ -1,6 +1,5 @@
 // Package fixture exercises the batchsel analyzer: kernels must honor
-// the selection vector, never mutate a handed-off batch, and never
-// pull row-at-a-time inside a batch kernel.
+// the selection vector and never mutate a handed-off batch.
 package fixture
 
 import "semjoin/internal/rel"
@@ -32,29 +31,6 @@ func firstBlind(b *rel.Batch, col int) rel.Value {
 func sendThenRefine(out chan<- *rel.Batch, b *rel.Batch, keep func(int) bool) {
 	out <- b
 	b.Refine(keep) // want "on a batch already sent downstream"
-}
-
-// Row-at-a-time pull inside a batch kernel.
-type rowIter struct{}
-
-func (rowIter) Open() error              { return nil }
-func (rowIter) Next() (rel.Tuple, error) { return nil, nil }
-func (rowIter) Close() error             { return nil }
-
-type bridgeKernel struct {
-	in rowIter
-	b  *rel.Batch
-}
-
-func (k *bridgeKernel) NextBatch() (*rel.Batch, error) {
-	t, err := k.in.Next() // want "row-at-a-time Next inside a batch kernel"
-	if err != nil {
-		return nil, err
-	}
-	if t != nil {
-		k.b.AppendTuple(t)
-	}
-	return k.b, nil
 }
 
 // -------- compliant shapes --------

@@ -1,6 +1,5 @@
 // Package fixture exercises the iterclose analyzer. The cursor type
-// has the row iterator shape (Open/Next/Close) the analyzer keys on;
-// batchCursor has the vectorized shape (Open/NextBatch/Close).
+// has the iterator shape (Open/NextBatch/Close) the analyzer keys on.
 package fixture
 
 import "context"
@@ -8,20 +7,14 @@ import "context"
 type cursor struct{ opened bool }
 
 func (c *cursor) Open(ctx context.Context) error { c.opened = true; return nil }
-func (c *cursor) Next() (int, error)             { return 0, nil }
+func (c *cursor) NextBatch() ([]int, error)      { return nil, nil }
 func (c *cursor) Close() error                   { c.opened = false; return nil }
-
-type batchCursor struct{ opened bool }
-
-func (c *batchCursor) Open(ctx context.Context) error { c.opened = true; return nil }
-func (c *batchCursor) NextBatch() ([]int, error)      { return nil, nil }
-func (c *batchCursor) Close() error                   { c.opened = false; return nil }
 
 // Rule 1: opened, never closed, never escapes.
 func leak(ctx context.Context) {
 	c := &cursor{}
 	c.Open(ctx) // want "iterator is opened but never closed"
-	c.Next()
+	c.NextBatch()
 }
 
 // Rule 2: the error return from Open leaks what the tree opened.
@@ -80,25 +73,9 @@ func delegate(ctx context.Context) {
 
 func register(c *cursor) { _ = c }
 
-// Rule 1 applies to batch iterators: opened, never closed, no escape.
-func batchLeak(ctx context.Context) {
-	c := &batchCursor{}
-	c.Open(ctx) // want "iterator is opened but never closed"
-	c.NextBatch()
-}
-
-// Rule 2 applies to batch iterators: Open's error return must close.
-func batchOpenErrLeak(ctx context.Context, c *batchCursor) error {
-	if err := c.Open(ctx); err != nil { // want "error path after c.Open returns without closing"
-		return err
-	}
-	defer c.Close()
-	return nil
-}
-
-// The drain-then-close discipline satisfies both rules for batches.
-func batchClosed(ctx context.Context) error {
-	c := &batchCursor{}
+// The drain-then-close discipline satisfies both rules.
+func drainedAndClosed(ctx context.Context) error {
+	c := &cursor{}
 	if err := c.Open(ctx); err != nil {
 		c.Close()
 		return err
@@ -119,14 +96,14 @@ func batchClosed(ctx context.Context) error {
 // -------- WAL recovery shapes --------
 //
 // segmentCursor is the write-ahead-log recovery scan: open a segment
-// file, iterate records until a torn or corrupt frame, close. The
+// file, iterate record batches until a torn or corrupt frame, close. The
 // torn-tail early return is exactly where a scanner is tempted to
 // abandon the handle.
 
 type segmentCursor struct{ off int64 }
 
 func (c *segmentCursor) Open(ctx context.Context) error { c.off = 0; return nil }
-func (c *segmentCursor) Next() (int, error)             { c.off++; return 0, nil }
+func (c *segmentCursor) NextBatch() ([]int, error)      { c.off++; return nil, nil }
 func (c *segmentCursor) Close() error                   { return nil }
 
 // Rule 1 on the recovery shape: replay stops at the torn tail but the
@@ -135,7 +112,7 @@ func replayLeak(ctx context.Context) {
 	c := &segmentCursor{}
 	c.Open(ctx) // want "iterator is opened but never closed"
 	for {
-		if _, err := c.Next(); err != nil {
+		if _, err := c.NextBatch(); err != nil {
 			return
 		}
 	}
@@ -161,7 +138,7 @@ func replayTruncates(ctx context.Context) error {
 	}
 	defer c.Close()
 	for {
-		if _, err := c.Next(); err != nil {
+		if _, err := c.NextBatch(); err != nil {
 			return nil // torn tail: stop replaying, keep the prefix
 		}
 	}

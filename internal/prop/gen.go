@@ -11,8 +11,8 @@
 //     evaluation computed outside the engine (oracle_rewrite.go);
 //  4. persistence round-trips must be behaviour-preserving
 //     (oracle_persist.go);
-//  5. tuple-at-a-time and vectorized executions of one query must be
-//     bag-equal (oracle_vectorized.go);
+//  5. the naive reference evaluator and the engine, serial and
+//     parallel, must be bag-equal on one query (oracle_reference.go);
 //  6. concurrent engines racing over one catalog must match a lone
 //     serial engine (oracle_concurrent.go);
 //  7. a WAL-backed store crashing mid-stream and recovering must end
@@ -350,6 +350,25 @@ func (g *QueryGen) where(table, prefix string) string {
 	}
 }
 
+// orderKeys emits one to three ORDER BY keys over cols, each with its
+// own direction: mixed-direction multi-key sorts (with LIMIT cutting
+// through the ties) are where a direction applied to the wrong key, or
+// a reverse that undoes the minor keys' order, shows.
+func (g *QueryGen) orderKeys(cols []string) string {
+	n := 1 + g.rng.Intn(min(3, len(cols)))
+	keys := make([]string, n)
+	for i, c := range g.rng.Perm(len(cols))[:n] {
+		keys[i] = cols[c]
+		switch g.rng.Intn(3) {
+		case 0:
+			keys[i] += " desc"
+		case 1:
+			keys[i] += " asc"
+		}
+	}
+	return strings.Join(keys, ", ")
+}
+
 var genCols = map[string][]string{
 	"product":  {"pid", "name", "issuer", "type", "price", "risk"},
 	"customer": {"cid", "name", "credit", "bal"},
@@ -379,10 +398,7 @@ func (g *QueryGen) Query() string {
 			q += " where " + g.where(table, "")
 		}
 		if g.rng.Intn(2) == 0 {
-			q += " order by " + g.pick(kept)
-			if g.rng.Intn(2) == 0 {
-				q += " desc"
-			}
+			q += " order by " + g.orderKeys(kept)
 		}
 		if g.rng.Intn(3) == 0 {
 			q += fmt.Sprintf(" limit %d", 1+g.rng.Intn(8))

@@ -18,7 +18,7 @@ const (
 )
 
 // CheckConcurrent is oracle 6: N engines sharing one catalog — with
-// differing parallelism and executor settings, like network sessions —
+// differing parallelism settings, like network sessions —
 // run the same generated query set concurrently, and every result must
 // be bag-equal to a lone serial engine's. Any cross-engine
 // interference through the shared materialisation, gL cache or
@@ -56,7 +56,6 @@ func CheckConcurrent(seed int64, _ Stream) error {
 			defer wg.Done()
 			eng := gsql.NewEngine(cat)
 			eng.Parallelism = 1 + s%4
-			eng.RowAtATime = s%2 == 1
 			eng.Obs = obs.NewRegistry()
 			// Offset walk: different engines hit different queries at the
 			// same instant, maximising plan/cache overlap.
@@ -64,13 +63,12 @@ func CheckConcurrent(seed int64, _ Stream) error {
 				ref := want[(k+s)%len(want)]
 				out, err := eng.Query(ref.q)
 				if err != nil {
-					errs[s] = fmt.Errorf("engine %d (par=%d row=%v) %q: %w",
-						s, eng.Parallelism, eng.RowAtATime, ref.q, err)
+					errs[s] = fmt.Errorf("engine %d (par=%d) %q: %w", s, eng.Parallelism, ref.q, err)
 					return
 				}
 				if d := difftest.Diff(ref.out, out); d != "" {
-					errs[s] = fmt.Errorf("engine %d (par=%d row=%v) diverged from serial on %q: %s",
-						s, eng.Parallelism, eng.RowAtATime, ref.q, d)
+					errs[s] = fmt.Errorf("engine %d (par=%d) diverged from serial on %q: %s",
+						s, eng.Parallelism, ref.q, d)
 					return
 				}
 			}

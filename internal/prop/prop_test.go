@@ -77,11 +77,10 @@ func TestPersistOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "persist-round-trip", Check: CheckPersist})
 }
 
-// TestVectorizedOracle checks oracle 5: the tuple-at-a-time engine and
-// the vectorized batch engine (serial and parallel) agree on every
-// generated query.
-func TestVectorizedOracle(t *testing.T) {
-	runOracle(t, Oracle{Name: "row-vs-batch", Check: CheckVectorized})
+// TestReferenceOracle checks oracle 5: the naive reference evaluator
+// and the engine (serial and parallel) agree on every generated query.
+func TestReferenceOracle(t *testing.T) {
+	runOracle(t, Oracle{Name: "reference-vs-engine", Check: CheckReference})
 }
 
 // TestConcurrentOracle checks oracle 6: N engines with divergent

@@ -17,7 +17,8 @@ const DefaultBatchSize = 1024
 
 // Batch is a column-wise chunk of rows. cols[i] holds the values of
 // schema attribute i for every physical row; sel, when non-nil, lists
-// the physical indexes of the rows still alive (in order). Operators
+// the physical indexes of the rows still alive, in output order (a
+// sort emits slices of its permutation as selection vectors). Operators
 // downstream of a filter must iterate via Rows/RowIdx, never assume
 // sel is nil.
 type Batch struct {
@@ -96,6 +97,14 @@ func (b *Batch) AppendTuplesTo(ts []Tuple) []Tuple {
 	return ts
 }
 
+// Relation materialises the live rows as a relation of the batch's
+// schema.
+func (b *Batch) Relation() *Relation {
+	r := NewRelation(b.schema)
+	r.Tuples = b.AppendTuplesTo(nil)
+	return r
+}
+
 // Refine keeps only the live rows whose physical index satisfies keep,
 // refining the selection vector in place — no column data moves.
 func (b *Batch) Refine(keep func(row int) bool) {
@@ -133,6 +142,31 @@ func (b *Batch) Project(s *Schema, cols []int) *Batch {
 // WithSchema returns a batch sharing b's data under a renamed schema.
 func (b *Batch) WithSchema(s *Schema) *Batch {
 	return &Batch{schema: s, cols: b.cols, sel: b.sel}
+}
+
+// Gather appends the physical rows of src listed in rows, column by
+// column, onto b's columns starting at column offset at — how joins
+// assemble their output from (left row, right row) index vectors. b
+// must be selection-free (it is being built).
+func (b *Batch) Gather(at int, src *Batch, rows []int32) {
+	for c := range src.cols {
+		b.cols[at+c].AppendRows(&src.cols[c], rows)
+	}
+}
+
+// appendBatch appends src's live rows onto dst column-wise. dst must
+// be selection-free.
+func appendBatch(dst, src *Batch) {
+	if src.sel != nil {
+		dst.Gather(0, src, src.sel)
+		return
+	}
+	for c := range src.cols {
+		sv, dv := &src.cols[c], &dst.cols[c]
+		for i, n := 0, sv.Len(); i < n; i++ {
+			dv.Append(sv.ValueAt(i))
+		}
+	}
 }
 
 // ------------------------------------------------- columnar relations

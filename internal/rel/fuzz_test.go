@@ -63,9 +63,9 @@ func FuzzPersistRoundTrip(f *testing.F) {
 // FuzzBatchRoundTrip drives the columnar conversion with arbitrary
 // relations (decoded through the persist codec, which rejects corrupt
 // bytes). Two round trips must be lossless for values, nulls, order
-// and schema: tuple-at-a-time conversion through one Batch, and the
-// batch scan / unbatch pipeline over the relation's cached columnar
-// image at a batch size derived from the input (so batch boundaries
+// and schema: tuple-at-a-time conversion through one Batch, and a
+// scan of the relation's cached columnar image materialised back into
+// tuples, at a batch size derived from the input (so batch boundaries
 // land everywhere, including mid-relation and past the end).
 func FuzzBatchRoundTrip(f *testing.F) {
 	seed := func(r *Relation) {
@@ -118,12 +118,12 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		for i, want := range r.Tuples {
 			sameTuple("batch", i, b.TupleAt(i), want)
 		}
-		// Round trip 2: the batch scan / unbatch pipeline over the
-		// relation's columnar image, at a fuzzed batch size.
+		// Round trip 2: scan the relation's columnar image and
+		// materialise it, at a fuzzed batch size.
 		size := int(sizeByte)%(r.Len()+2) + 1
-		out, err := Materialize(context.Background(), NewUnbatcher(NewBatchScanSize(r, size)))
+		out, err := Materialize(context.Background(), NewScanSize(r, size))
 		if err != nil {
-			t.Fatalf("batch scan pipeline: %v", err)
+			t.Fatalf("scan pipeline: %v", err)
 		}
 		if out.Schema.String() != r.Schema.String() {
 			t.Fatalf("scan schema = %s, want %s", out.Schema, r.Schema)

@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"semjoin/internal/obs"
 )
 
-// Iterator is a Volcano-style pull operator. Plans are trees of
-// iterators; the root is drained with Materialize (or manually via
-// Open/Next/Close). All validation errors that the eager operators
-// used to panic on are surfaced through Open instead, so a planner
-// bug or a bad query degrades into an error, never a crash.
+// Iterator is a Volcano-style pull operator exchanging column batches.
+// Plans are trees of iterators; the root is drained with Materialize
+// (or manually via Open/NextBatch/Close), which is the one place rows
+// turn back into tuples. All validation errors that the eager
+// operators used to panic on are surfaced through Open instead, so a
+// planner bug or a bad query degrades into an error, never a crash.
 type Iterator interface {
 	// Schema returns the output schema, or nil while it is unknown.
 	// Most operators know their schema at construction time; sources
@@ -26,14 +26,16 @@ type Iterator interface {
 	// and surfaces any validation error (unknown attribute, arity
 	// mismatch, ...). ctx may be nil for context.Background().
 	Open(ctx context.Context) error
-	// Next returns the next tuple, or (nil, nil) at end of stream.
-	// Cancellation of the Open context is checked periodically.
-	Next() (Tuple, error)
+	// NextBatch returns the next non-empty batch, or (nil, nil) at end
+	// of stream. The batch belongs to the caller: it may refine the
+	// selection vector in place, but column data is shared and
+	// read-only. Cancellation of the Open context is checked per batch.
+	NextBatch() (*Batch, error)
 	// Close releases resources. It is safe to call after a failed
 	// Open and at most once per Open.
 	Close() error
-	// Stats returns the operator's live counters (rows out, wall
-	// time inclusive of children).
+	// Stats returns the operator's live counters (rows and batches
+	// out, wall time inclusive of children).
 	Stats() *OpStats
 	// Children returns the child operators for plan traversal.
 	Children() []Iterator
@@ -50,7 +52,7 @@ var errSchemaPending = errors.New("rel: schema not yet resolved")
 type kernel interface {
 	resolve(o *op) error
 	open(o *op) error
-	next(o *op) (Tuple, error)
+	next(o *op) (*Batch, error)
 	close(o *op) error
 }
 
@@ -139,25 +141,24 @@ func (o *op) closeChildren() {
 	}
 }
 
-func (o *op) Next() (Tuple, error) {
+func (o *op) NextBatch() (*Batch, error) {
 	if o.done || !o.opened {
 		return nil, nil
 	}
 	start := time.Now()
-	t, err := o.k.next(o)
+	b, err := o.k.next(o)
 	o.stats.Elapsed += time.Since(start)
-	if err != nil || t == nil {
+	if err != nil || b == nil {
 		o.done = true
 		return nil, err
 	}
-	o.stats.RowsOut++
-	if o.stats.RowsOut&255 == 0 {
-		if err := o.ctx.Err(); err != nil {
-			o.done = true
-			return nil, err
-		}
+	o.stats.RowsOut += int64(b.Rows())
+	o.stats.Batches++
+	if err := o.ctx.Err(); err != nil {
+		o.done = true
+		return nil, err
 	}
-	return t, nil
+	return b, nil
 }
 
 func (o *op) Close() error {
@@ -170,10 +171,13 @@ func (o *op) Close() error {
 	}
 	if o.metered {
 		// Aggregate accounting happens once per execution, at Close, so
-		// the per-tuple path stays untouched. The registry travels on the
+		// the per-batch path stays untouched. The registry travels on the
 		// Open context; without one this is a nil no-op.
 		o.metered = false
-		obs.FromContext(o.ctx).Counter("rel_op_rows_total", "op", opKind(o.stats.Label)).Add(o.stats.RowsOut)
+		reg := obs.FromContext(o.ctx)
+		kind := opKind(o.stats.Label)
+		reg.Counter("rel_op_rows_total", "op", kind).Add(o.stats.RowsOut)
+		reg.Counter("rel_op_batches_total", "op", kind).Add(o.stats.Batches)
 	}
 	for _, c := range o.children {
 		if err := c.Close(); err != nil && first == nil {
@@ -191,38 +195,98 @@ func (baseKernel) resolve(o *op) error { return nil }
 func (baseKernel) open(o *op) error    { return nil }
 func (baseKernel) close(o *op) error   { return nil }
 
-// drain pulls every remaining tuple from an already-open iterator into
-// a freshly-allocated slice.
-func drain(c Iterator) ([]Tuple, error) {
-	var out []Tuple
+// passKernel resolves to its first child's schema; kernels that only
+// drop or reorder rows embed it.
+type passKernel struct{ baseKernel }
+
+func (passKernel) resolve(o *op) error {
+	s := o.children[0].Schema()
+	if s == nil {
+		return errSchemaPending
+	}
+	o.schema = s
+	return nil
+}
+
+// drainBatches pulls every remaining batch from an already-open
+// iterator.
+func drainBatches(c Iterator) ([]*Batch, error) {
+	var out []*Batch
 	for {
-		t, err := c.Next()
+		b, err := c.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if t == nil {
+		if b == nil {
 			return out, nil
 		}
-		out = append(out, t)
+		out = append(out, b)
 	}
 }
 
-// Materialize opens it, drains it into a relation and closes it. A nil
-// ctx means context.Background(). The result's Tuples slice is always
-// freshly owned (the ownership rule on Relation), so appending to it
-// cannot corrupt any operator input.
+// gather drains an already-open iterator into a single batch — the
+// build side of a join, the input of a sort. A child that produced
+// exactly one batch hands it over as is (selection vector included);
+// otherwise the live rows are copied into one selection-free batch.
+func gather(c Iterator) (*Batch, error) {
+	batches, err := drainBatches(c)
+	if err != nil {
+		return nil, err
+	}
+	if len(batches) == 1 {
+		return batches[0], nil
+	}
+	s := c.Schema()
+	if s == nil {
+		return nil, errors.New("rel: input has no schema")
+	}
+	out := NewBatch(s)
+	for _, b := range batches {
+		appendBatch(out, b)
+	}
+	return out, nil
+}
+
+// nextSlice returns the next up-to-size of the n rows held in cols as
+// a zero-copy batch under schema s, advancing *i; nil once *i reaches
+// n. Scans and the pipeline breakers stream their columns out with it.
+func nextSlice(s *Schema, cols []Vector, n int, i *int, size int) *Batch {
+	if *i >= n {
+		return nil
+	}
+	lo := *i
+	*i = min(lo+size, n)
+	b := &Batch{schema: s, cols: make([]Vector, len(cols))}
+	for c := range cols {
+		b.cols[c] = cols[c].Slice(lo, *i)
+	}
+	return b
+}
+
+// Materialize opens it, drains it into a relation and closes it — the
+// single place batches become tuples. A nil ctx means
+// context.Background(). The result's Tuples slice is always freshly
+// owned (the ownership rule on Relation), so appending to it cannot
+// corrupt any operator input.
 func Materialize(ctx context.Context, it Iterator) (*Relation, error) {
 	if err := it.Open(ctx); err != nil {
 		it.Close()
 		return nil, err
 	}
-	ts, err := drain(it)
-	cerr := it.Close()
-	if err != nil {
-		return nil, err
+	var ts []Tuple
+	for {
+		b, err := it.NextBatch()
+		if err != nil {
+			it.Close()
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		ts = b.AppendTuplesTo(ts)
 	}
-	if cerr != nil {
-		return nil, cerr
+	if err := it.Close(); err != nil {
+		return nil, err
 	}
 	s := it.Schema()
 	if s == nil {
@@ -241,8 +305,8 @@ type errKernel struct {
 	err error
 }
 
-func (k *errKernel) resolve(o *op) error       { return k.err }
-func (k *errKernel) next(o *op) (Tuple, error) { return nil, k.err }
+func (k *errKernel) resolve(o *op) error        { return k.err }
+func (k *errKernel) next(o *op) (*Batch, error) { return nil, k.err }
 
 func errOp(label string, err error) Iterator { return newOp(label, &errKernel{err: err}) }
 
@@ -250,45 +314,80 @@ func errOp(label string, err error) Iterator { return newOp(label, &errKernel{er
 
 type scanKernel struct {
 	baseKernel
-	r *Relation
-	i int
+	r    *Relation
+	size int
+	cols *relColumns
+	i    int
 }
 
 func (k *scanKernel) resolve(o *op) error { o.schema = k.r.Schema; return nil }
-func (k *scanKernel) open(o *op) error    { k.i = 0; return nil }
-func (k *scanKernel) next(o *op) (Tuple, error) {
-	if k.i >= len(k.r.Tuples) {
+
+func (k *scanKernel) open(o *op) error {
+	k.cols = k.r.columns()
+	k.i = 0
+	return nil
+}
+
+func (k *scanKernel) next(o *op) (*Batch, error) {
+	return nextSlice(o.schema, k.cols.cols, k.cols.n, &k.i, k.size), nil
+}
+
+// NewScan streams the rows of r as zero-copy column slices of its
+// columnar image, DefaultBatchSize rows per batch.
+func NewScan(r *Relation) Iterator { return NewScanSize(r, 0) }
+
+// NewScanSize is NewScan with an explicit batch size (size <= 0 means
+// DefaultBatchSize). Tests use tiny batches to force multi-batch
+// schedules — and multi-morsel exchanges — on small relations.
+func NewScanSize(r *Relation, size int) Iterator {
+	if size <= 0 {
+		size = DefaultBatchSize
+	}
+	return newOp("scan "+r.Schema.Name, &scanKernel{r: r, size: size})
+}
+
+// morselKernel replays pre-split batches; the exchange's per-morsel
+// pipelines read from it.
+type morselKernel struct {
+	baseKernel
+	batches []*Batch
+	i       int
+}
+
+func (k *morselKernel) next(o *op) (*Batch, error) {
+	if k.i >= len(k.batches) {
 		return nil, nil
 	}
-	t := k.r.Tuples[k.i]
+	b := k.batches[k.i]
 	k.i++
-	return t, nil
+	return b, nil
 }
 
-// NewScan streams the tuples of r.
-func NewScan(r *Relation) Iterator {
-	return newOp("scan "+r.Schema.Name, &scanKernel{r: r})
-}
-
-// newMorselScan is NewScan for the exchange's internal morsel
-// sources. Those tuples were already counted once flowing into the
-// exchange, so the morsel scans stay unmetered — serial and parallel
-// plans then report identical per-operator row counters.
-func newMorselScan(r *Relation) Iterator {
-	o := newOp("scan "+r.Schema.Name, &scanKernel{r: r})
+// newMorselSource is the exchange's internal source. Its rows and
+// batches were already counted once flowing into the exchange, so it
+// stays unmetered — serial and parallel plans then report identical
+// per-operator counters.
+func newMorselSource(s *Schema, batches []*Batch) Iterator {
+	o := newOp("scan "+s.Name, &morselKernel{batches: batches})
+	o.schema = s
 	o.unmetered = true
 	return o
 }
 
-// -------------------------------------------------------------- select
+// -------------------------------------------------------------- filter
 
-type selectKernel struct {
+// BatchPred refines a batch's selection vector in place, keeping only
+// the rows that satisfy the predicate. Implementations loop over the
+// batch's columns directly (see Batch.Refine for the generic form).
+type BatchPred func(b *Batch)
+
+type filterKernel struct {
 	baseKernel
-	bind func(*Schema) (Pred, error)
-	p    Pred
+	bind func(*Schema) (BatchPred, error)
+	p    BatchPred
 }
 
-func (k *selectKernel) resolve(o *op) error {
+func (k *filterKernel) resolve(o *op) error {
 	s := o.children[0].Schema()
 	if s == nil {
 		return errSchemaPending
@@ -302,36 +401,70 @@ func (k *selectKernel) resolve(o *op) error {
 	return nil
 }
 
-func (k *selectKernel) next(o *op) (Tuple, error) {
+func (k *filterKernel) next(o *op) (*Batch, error) {
 	for {
-		t, err := o.children[0].Next()
-		if err != nil || t == nil {
+		b, err := o.children[0].NextBatch()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		if k.p(t) {
-			return t, nil
+		k.p(b)
+		if b.Rows() > 0 {
+			return b, nil
 		}
 	}
 }
 
-// NewSelect streams the tuples of child satisfying p.
+// NewFilter keeps the rows of child satisfying p, refining each
+// batch's selection vector in place (no data copied). Fully-filtered
+// batches are swallowed, never emitted empty.
+func NewFilter(child Iterator, p BatchPred) Iterator {
+	return NewFilterWith("select", child, func(*Schema) (BatchPred, error) { return p, nil })
+}
+
+// NewFilterWith is NewFilter with a late-bound predicate: bind runs
+// once the input schema is known, so predicates can resolve column
+// positions against schemas that only exist after Open.
+func NewFilterWith(label string, child Iterator, bind func(*Schema) (BatchPred, error)) Iterator {
+	return newOp(label, &filterKernel{bind: bind}, child)
+}
+
+// RowPred lifts a tuple predicate into a BatchPred through a reused
+// scratch tuple — the form every predicate that is not compiled into
+// per-column loops takes.
+func RowPred(s *Schema, p Pred) BatchPred {
+	scratch := make(Tuple, len(s.Attrs))
+	return func(b *Batch) {
+		b.Refine(func(row int) bool {
+			for c := range scratch {
+				scratch[c] = b.Col(c).ValueAt(row)
+			}
+			return p(scratch)
+		})
+	}
+}
+
+// NewSelect is NewFilter for a tuple predicate.
 func NewSelect(child Iterator, p Pred) Iterator {
 	return NewSelectWith("select", child, func(*Schema) (Pred, error) { return p, nil })
 }
 
-// NewSelectWith is NewSelect with a late-bound predicate: bind runs
-// once the input schema is known, so predicates can resolve column
-// positions against schemas that only exist after Open.
+// NewSelectWith is NewFilterWith for a late-bound tuple predicate.
 func NewSelectWith(label string, child Iterator, bind func(*Schema) (Pred, error)) Iterator {
-	return newOp(label, &selectKernel{bind: bind}, child)
+	return NewFilterWith(label, child, func(s *Schema) (BatchPred, error) {
+		p, err := bind(s)
+		if err != nil {
+			return nil, err
+		}
+		return RowPred(s, p), nil
+	})
 }
 
 // ------------------------------------------------------------- project
 
 type projectKernel struct {
 	baseKernel
-	names []string
-	cols  []int
+	bind func(in *Schema) (*Schema, []int, error)
+	cols []int
 }
 
 func (k *projectKernel) resolve(o *op) error {
@@ -339,46 +472,61 @@ func (k *projectKernel) resolve(o *op) error {
 	if in == nil {
 		return errSchemaPending
 	}
-	cols := make([]int, len(k.names))
-	attrs := make([]Attribute, len(k.names))
-	for i, n := range k.names {
-		c := in.Col(n)
-		if c < 0 {
-			return fmt.Errorf("rel: project: no attribute %q in %s", n, in)
-		}
-		cols[i] = c
-		attrs[i] = Attribute{Name: n, Type: in.Attrs[c].Type}
-	}
-	key := ""
-	for _, n := range k.names {
-		if n == in.Key {
-			key = n
-		}
-	}
-	s, err := TrySchema(in.Name, key, attrs...)
+	s, cols, err := k.bind(in)
 	if err != nil {
 		return err
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(in.Attrs) {
+			return fmt.Errorf("rel: project: column %d out of range for %s", c, in)
+		}
 	}
 	o.schema = s
 	k.cols = cols
 	return nil
 }
 
-func (k *projectKernel) next(o *op) (Tuple, error) {
-	t, err := o.children[0].Next()
-	if err != nil || t == nil {
+func (k *projectKernel) next(o *op) (*Batch, error) {
+	b, err := o.children[0].NextBatch()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	nt := make(Tuple, len(k.cols))
-	for i, c := range k.cols {
-		nt[i] = t[c]
-	}
-	return nt, nil
+	return b.Project(o.schema, k.cols), nil
 }
 
-// NewProject restricts child to the named attributes, in order.
+// NewProject restricts child to the named attributes, in order: a
+// zero-copy column pick.
 func NewProject(child Iterator, names ...string) Iterator {
-	return newOp("project", &projectKernel{names: names}, child)
+	return NewProjectWith("project", child, func(in *Schema) (*Schema, []int, error) {
+		cols := make([]int, len(names))
+		attrs := make([]Attribute, len(names))
+		key := ""
+		for i, n := range names {
+			c := in.Col(n)
+			if c < 0 {
+				return nil, nil, fmt.Errorf("rel: project: no attribute %q in %s", n, in)
+			}
+			cols[i] = c
+			attrs[i] = Attribute{Name: n, Type: in.Attrs[c].Type}
+			if n == in.Key {
+				key = n
+			}
+		}
+		s, err := TrySchema(in.Name, key, attrs...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, cols, nil
+	})
+}
+
+// NewProjectWith is the late-bound projection: bind maps the input
+// schema to the output schema plus the input column index per output
+// column. gsql's projection (star expansion, renaming) binds through
+// it. bind must be side-effect free (it may run at plan time when the
+// input schema is already known).
+func NewProjectWith(label string, child Iterator, bind func(in *Schema) (*Schema, []int, error)) Iterator {
+	return newOp(label, &projectKernel{bind: bind}, child)
 }
 
 // -------------------------------------------------------------- rename
@@ -397,489 +545,53 @@ func (k *renameKernel) resolve(o *op) error {
 	return nil
 }
 
-func (k *renameKernel) next(o *op) (Tuple, error) { return o.children[0].Next() }
+func (k *renameKernel) next(o *op) (*Batch, error) {
+	b, err := o.children[0].NextBatch()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	return b.WithSchema(o.schema), nil
+}
 
 // NewRename passes child through under a new relation name.
 func NewRename(child Iterator, name string) Iterator {
 	return newOp("rename "+name, &renameKernel{name: name}, child)
 }
 
-// ---------------------------------------------------------- cross join
-
-type crossKernel struct {
-	baseKernel
-	outName string
-	names   []string
-	mats    [][]Tuple // children 1..n-1, materialised at open
-	cur     Tuple     // current tuple of the streamed child 0
-	idx     []int     // odometer over mats, last index fastest
-	width   int
-}
-
-func (k *crossKernel) resolve(o *op) error {
-	var attrs []Attribute
-	for i, c := range o.children {
-		s := c.Schema()
-		if s == nil {
-			return errSchemaPending
-		}
-		attrs = append(attrs, s.Qualified(k.names[i]).Attrs...)
-	}
-	s, err := TrySchema(k.outName, "", attrs...)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	k.width = len(attrs)
-	return nil
-}
-
-func (k *crossKernel) open(o *op) error {
-	k.mats = make([][]Tuple, len(o.children)-1)
-	for i := 1; i < len(o.children); i++ {
-		ts, err := drain(o.children[i])
-		if err != nil {
-			return err
-		}
-		k.mats[i-1] = ts
-	}
-	k.idx = make([]int, len(k.mats))
-	k.cur = nil
-	return nil
-}
-
-func (k *crossKernel) next(o *op) (Tuple, error) {
-	for _, m := range k.mats {
-		if len(m) == 0 {
-			return nil, nil
-		}
-	}
-	if k.cur == nil {
-		t, err := o.children[0].Next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		k.cur = t
-		for i := range k.idx {
-			k.idx[i] = 0
-		}
-	}
-	nt := make(Tuple, 0, k.width)
-	nt = append(nt, k.cur...)
-	for i, m := range k.mats {
-		nt = append(nt, m[k.idx[i]]...)
-	}
-	for i := len(k.idx) - 1; ; i-- {
-		if i < 0 {
-			k.cur = nil
-			break
-		}
-		k.idx[i]++
-		if k.idx[i] < len(k.mats[i]) {
-			break
-		}
-		k.idx[i] = 0
-	}
-	return nt, nil
-}
-
-// NewCrossJoin streams the Cartesian product of the children with
-// attribute names qualified by the binding names. The first child
-// streams; the rest are materialised at Open.
-func NewCrossJoin(children []Iterator, names []string) Iterator {
-	return newCrossJoin("cross", children, names)
-}
-
-func newCrossJoin(outName string, children []Iterator, names []string) Iterator {
-	if len(children) != len(names) || len(children) == 0 {
-		return errOp("cross", errors.New("rel: CrossJoinAll needs one name per relation"))
-	}
-	return newOp("cross", &crossKernel{outName: outName, names: names}, children...)
-}
-
-// ----------------------------------------------------------- hash join
-
-type hashJoinKernel struct {
-	baseKernel
-	leftAttr, rightAttr string
-	buildLeft           bool
-	workers             int
-	lc, rc              int
-	ht                  map[Value][]Tuple   // serial build
-	parts               []map[Value][]Tuple // parallel partitioned build
-	pending             []Tuple
-	probe               Tuple
-}
-
-// parallelBuildMin is the build-side row count below which a parallel
-// hash-join build is not worth the partitioning pass.
-const parallelBuildMin = 512
-
-func (k *hashJoinKernel) resolve(o *op) error {
-	ls, rs := o.children[0].Schema(), o.children[1].Schema()
-	if ls == nil || rs == nil {
-		return errSchemaPending
-	}
-	k.lc, k.rc = ls.Col(k.leftAttr), rs.Col(k.rightAttr)
-	if k.lc < 0 || k.rc < 0 {
-		return fmt.Errorf("rel: hash join: missing attribute %q/%q", k.leftAttr, k.rightAttr)
-	}
-	qa := ls.Qualified(ls.Name)
-	qb := rs.Qualified(rs.Name)
-	attrs := append(append([]Attribute(nil), qa.Attrs...), qb.Attrs...)
-	s, err := TrySchema(ls.Name+"_"+rs.Name, "", attrs...)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	return nil
-}
-
-func (k *hashJoinKernel) open(o *op) error {
-	build, bc := o.children[1], k.rc
-	if k.buildLeft {
-		build, bc = o.children[0], k.lc
-	}
-	ts, err := drain(build)
-	if err != nil {
-		return err
-	}
-	reg := obs.FromContext(o.ctx)
-	reg.Counter("rel_hashjoin_build_rows_total").Add(int64(len(ts)))
-	if k.workers > 1 && len(ts) >= parallelBuildMin {
-		reg.Counter("rel_hashjoin_parallel_builds_total").Inc()
-		k.parts = buildPartitioned(ts, bc, k.workers)
-		k.ht = nil
-		o.stats.Workers = k.workers
-	} else {
-		k.parts = nil
-		k.ht = make(map[Value][]Tuple, len(ts))
-		for _, t := range ts {
-			key, ok := t[bc].HashKey()
-			if !ok {
-				continue
-			}
-			k.ht[key] = append(k.ht[key], t)
-		}
-	}
-	k.pending, k.probe = nil, nil
-	return nil
-}
-
-// lookup returns the build-side matches for a probe key under either
-// build layout. Both layouts keep tuples in build-input order, so probe
-// output is identical regardless of the build parallelism.
-func (k *hashJoinKernel) lookup(key Value) []Tuple {
-	if k.parts != nil {
-		return k.parts[valuePartition(key, len(k.parts))][key]
-	}
-	return k.ht[key]
-}
-
-func (k *hashJoinKernel) next(o *op) (Tuple, error) {
-	probeChild, pc := o.children[0], k.lc
-	if k.buildLeft {
-		probeChild, pc = o.children[1], k.rc
-	}
-	for {
-		if len(k.pending) > 0 {
-			bt := k.pending[0]
-			k.pending = k.pending[1:]
-			// Output layout is always left's values then right's.
-			lt, rt := k.probe, bt
-			if k.buildLeft {
-				lt, rt = bt, k.probe
-			}
-			nt := make(Tuple, 0, len(lt)+len(rt))
-			nt = append(append(nt, lt...), rt...)
-			return nt, nil
-		}
-		t, err := probeChild.Next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		key, ok := t[pc].HashKey()
-		if !ok {
-			continue
-		}
-		k.pending = k.lookup(key)
-		k.probe = t
-	}
-}
-
-// NewHashJoin equijoins left.leftAttr = right.rightAttr with qualified
-// attribute names. buildLeft selects which side is materialised into
-// the hash table at Open; the other side streams. Null join keys never
-// match (SQL semantics). Output layout is always left-then-right.
-func NewHashJoin(left, right Iterator, leftAttr, rightAttr string, buildLeft bool) Iterator {
-	return NewHashJoinP(left, right, leftAttr, rightAttr, buildLeft, 1)
-}
-
-// NewHashJoinP is NewHashJoin with a parallel build: when workers > 1
-// and the build side is large enough, the hash table is built as
-// hash-partitioned sub-tables, one goroutine per partition. The probe
-// stream and its output order are unchanged.
-func NewHashJoinP(left, right Iterator, leftAttr, rightAttr string, buildLeft bool, workers int) Iterator {
-	k := &hashJoinKernel{leftAttr: leftAttr, rightAttr: rightAttr, buildLeft: buildLeft, workers: workers}
-	return newOp("hash join "+leftAttr+"="+rightAttr, k, left, right)
-}
-
-// ---------------------------------------------------- nested-loop join
-
-type nlKernel struct {
-	baseKernel
-	p      func(Tuple) bool
-	right  []Tuple
-	cur    Tuple
-	ri     int
-	joined Tuple
-}
-
-func (k *nlKernel) resolve(o *op) error {
-	ls, rs := o.children[0].Schema(), o.children[1].Schema()
-	if ls == nil || rs == nil {
-		return errSchemaPending
-	}
-	qa := ls.Qualified(ls.Name)
-	qb := rs.Qualified(rs.Name)
-	attrs := append(append([]Attribute(nil), qa.Attrs...), qb.Attrs...)
-	s, err := TrySchema(ls.Name+"_"+rs.Name, "", attrs...)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	return nil
-}
-
-func (k *nlKernel) open(o *op) error {
-	ts, err := drain(o.children[1])
-	if err != nil {
-		return err
-	}
-	k.right = ts
-	k.cur, k.ri = nil, 0
-	k.joined = make(Tuple, len(o.schema.Attrs))
-	return nil
-}
-
-func (k *nlKernel) next(o *op) (Tuple, error) {
-	for {
-		if k.cur == nil {
-			t, err := o.children[0].Next()
-			if err != nil || t == nil {
-				return nil, err
-			}
-			k.cur = t
-			k.ri = 0
-			copy(k.joined, t)
-		}
-		for k.ri < len(k.right) {
-			tb := k.right[k.ri]
-			k.ri++
-			copy(k.joined[len(k.cur):], tb)
-			if k.p(k.joined) {
-				return k.joined.Clone(), nil
-			}
-		}
-		k.cur = nil
-	}
-}
-
-// NewNestedLoopJoin joins left and right with an arbitrary predicate
-// over the concatenated tuple (left's values first). The right side is
-// materialised at Open.
-func NewNestedLoopJoin(left, right Iterator, p func(joined Tuple) bool) Iterator {
-	return newOp("nested-loop join", &nlKernel{p: p}, left, right)
-}
-
-// -------------------------------------------------------- natural join
-
-type naturalKernel struct {
-	baseKernel
-	cross        bool
-	aCols, bCols []int
-	bExtra       []int
-	ht           map[string][]Tuple
-	bTuples      []Tuple // cross fallback
-	bi           int
-	cur          Tuple
-	pending      []Tuple
-	width        int
-}
-
-func (k *naturalKernel) resolve(o *op) error {
-	as, bs := o.children[0].Schema(), o.children[1].Schema()
-	if as == nil || bs == nil {
-		return errSchemaPending
-	}
-	var shared []string
-	for _, attr := range as.Attrs {
-		if bs.Has(attr.Name) {
-			shared = append(shared, attr.Name)
-		}
-	}
-	if len(shared) == 0 {
-		// Degenerates to a Cartesian product with qualified names.
-		k.cross = true
-		qa, qb := as.Qualified(as.Name), bs.Qualified(bs.Name)
-		attrs := append(append([]Attribute(nil), qa.Attrs...), qb.Attrs...)
-		s, err := TrySchema(as.Name+"x"+bs.Name, "", attrs...)
-		if err != nil {
-			return err
-		}
-		o.schema = s
-		k.width = len(attrs)
-		return nil
-	}
-	k.aCols = make([]int, len(shared))
-	k.bCols = make([]int, len(shared))
-	for i, n := range shared {
-		k.aCols[i] = as.Col(n)
-		k.bCols[i] = bs.Col(n)
-	}
-	// Output schema: all of a, then b's non-shared attributes.
-	attrs := append([]Attribute(nil), as.Attrs...)
-	k.bExtra = nil
-	for i, attr := range bs.Attrs {
-		if !as.Has(attr.Name) {
-			attrs = append(attrs, attr)
-			k.bExtra = append(k.bExtra, i)
-		}
-	}
-	key := as.Key
-	if key == "" {
-		key = bs.Key
-		if key != "" {
-			tmp, err := TrySchema("tmp", "", attrs...)
-			if err != nil {
-				return err
-			}
-			if !tmp.Has(key) {
-				key = ""
-			}
-		}
-	}
-	s, err := TrySchema(as.Name+"_"+bs.Name, key, attrs...)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	k.width = len(attrs)
-	return nil
-}
-
-func (k *naturalKernel) open(o *op) error {
-	ts, err := drain(o.children[1])
-	if err != nil {
-		return err
-	}
-	if k.cross {
-		k.bTuples = ts
-		k.bi = 0
-		k.cur = nil
-		return nil
-	}
-	k.ht = make(map[string][]Tuple, len(ts))
-	for _, t := range ts {
-		key, ok := jointKey(t, k.bCols)
-		if !ok {
-			continue
-		}
-		k.ht[key] = append(k.ht[key], t)
-	}
-	k.cur, k.pending = nil, nil
-	return nil
-}
-
-func (k *naturalKernel) next(o *op) (Tuple, error) {
-	if k.cross {
-		for {
-			if k.cur == nil {
-				t, err := o.children[0].Next()
-				if err != nil || t == nil {
-					return nil, err
-				}
-				k.cur = t
-				k.bi = 0
-			}
-			if k.bi < len(k.bTuples) {
-				tb := k.bTuples[k.bi]
-				k.bi++
-				nt := make(Tuple, 0, k.width)
-				nt = append(append(nt, k.cur...), tb...)
-				return nt, nil
-			}
-			k.cur = nil
-		}
-	}
-	for {
-		if len(k.pending) > 0 {
-			tb := k.pending[0]
-			k.pending = k.pending[1:]
-			nt := make(Tuple, 0, k.width)
-			nt = append(nt, k.cur...)
-			for _, c := range k.bExtra {
-				nt = append(nt, tb[c])
-			}
-			return nt, nil
-		}
-		ta, err := o.children[0].Next()
-		if err != nil || ta == nil {
-			return nil, err
-		}
-		key, ok := jointKey(ta, k.aCols)
-		if !ok {
-			continue
-		}
-		k.pending = k.ht[key]
-		k.cur = ta
-	}
-}
-
-// NewNaturalJoin joins left and right on all shared attribute names
-// (the paper's S ⋈ f(S,G) ⋈ h(S,G) reduction joins on tid/vid). The
-// right side is hashed at Open; the left side streams. With no shared
-// attributes it degenerates to a Cartesian product.
-func NewNaturalJoin(left, right Iterator) Iterator {
-	return newOp("natural join", &naturalKernel{}, left, right)
-}
-
 // ------------------------------------------------------------ distinct
 
 type distinctKernel struct {
-	baseKernel
+	passKernel
 	seen map[string]bool
-}
-
-func (k *distinctKernel) resolve(o *op) error {
-	s := o.children[0].Schema()
-	if s == nil {
-		return errSchemaPending
-	}
-	o.schema = s
-	return nil
 }
 
 func (k *distinctKernel) open(o *op) error { k.seen = make(map[string]bool); return nil }
 
-func (k *distinctKernel) next(o *op) (Tuple, error) {
+func (k *distinctKernel) next(o *op) (*Batch, error) {
 	for {
-		t, err := o.children[0].Next()
-		if err != nil || t == nil {
+		b, err := o.children[0].NextBatch()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		key := ""
-		for _, v := range t {
-			key += v.Key()
-		}
-		if !k.seen[key] {
+		b.Refine(func(row int) bool {
+			key := ""
+			for c := 0; c < b.NumCols(); c++ {
+				key += b.Col(c).ValueAt(row).Key()
+			}
+			if k.seen[key] {
+				return false
+			}
 			k.seen[key] = true
-			return t, nil
+			return true
+		})
+		if b.Rows() > 0 {
+			return b, nil
 		}
 	}
 }
 
-// NewDistinct removes duplicate tuples, keeping first occurrences.
+// NewDistinct removes duplicate rows, keeping first occurrences, by
+// refining each batch's selection vector.
 func NewDistinct(child Iterator) Iterator {
 	return newOp("distinct", &distinctKernel{}, child)
 }
@@ -887,313 +599,43 @@ func NewDistinct(child Iterator) Iterator {
 // --------------------------------------------------------------- limit
 
 type limitKernel struct {
-	baseKernel
+	passKernel
 	n       int
 	emitted int
 }
 
-func (k *limitKernel) resolve(o *op) error {
-	s := o.children[0].Schema()
-	if s == nil {
-		return errSchemaPending
-	}
-	o.schema = s
-	return nil
-}
-
 func (k *limitKernel) open(o *op) error { k.emitted = 0; return nil }
 
-func (k *limitKernel) next(o *op) (Tuple, error) {
+func (k *limitKernel) next(o *op) (*Batch, error) {
 	if k.n >= 0 && k.emitted >= k.n {
 		return nil, nil
 	}
-	t, err := o.children[0].Next()
-	if err != nil || t == nil {
+	b, err := o.children[0].NextBatch()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	k.emitted++
-	return t, nil
+	if k.n >= 0 && k.emitted+b.Rows() > k.n {
+		// Trim the batch to the remaining budget via its selection
+		// vector — no data moves.
+		want := k.n - k.emitted
+		if b.sel == nil {
+			sel := make([]int32, want)
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			b.sel = sel
+		} else {
+			b.sel = b.sel[:want]
+		}
+	}
+	k.emitted += b.Rows()
+	return b, nil
 }
 
-// NewLimit caps the stream at n tuples; a negative n means unlimited.
+// NewLimit caps the stream at n live rows (a negative n means
+// unlimited), trimming the final batch through its selection vector.
 func NewLimit(child Iterator, n int) Iterator {
 	return newOp(fmt.Sprintf("limit %d", n), &limitKernel{n: n}, child)
-}
-
-// ---------------------------------------------------------------- sort
-
-type sortKernel struct {
-	baseKernel
-	names []string
-	cols  []int
-	rows  []Tuple
-	i     int
-}
-
-func (k *sortKernel) resolve(o *op) error {
-	s := o.children[0].Schema()
-	if s == nil {
-		return errSchemaPending
-	}
-	cols := make([]int, len(k.names))
-	for i, n := range k.names {
-		c := s.Col(n)
-		if c < 0 {
-			return fmt.Errorf("rel: sort: no attribute %q in %s", n, s)
-		}
-		cols[i] = c
-	}
-	o.schema = s
-	k.cols = cols
-	return nil
-}
-
-func (k *sortKernel) open(o *op) error {
-	rows, err := drain(o.children[0])
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, c := range k.cols {
-			if cmp := rows[i][c].Compare(rows[j][c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	k.rows = rows
-	k.i = 0
-	return nil
-}
-
-func (k *sortKernel) next(o *op) (Tuple, error) {
-	if k.i >= len(k.rows) {
-		return nil, nil
-	}
-	t := k.rows[k.i]
-	k.i++
-	return t, nil
-}
-
-// NewSort is a pipeline breaker sorting by the named attributes
-// ascending (stable).
-func NewSort(child Iterator, names ...string) Iterator {
-	return newOp("sort "+fmt.Sprint(names), &sortKernel{names: names}, child)
-}
-
-// ------------------------------------------------------------- reverse
-
-type reverseKernel struct {
-	baseKernel
-	rows []Tuple
-	i    int
-}
-
-func (k *reverseKernel) resolve(o *op) error {
-	s := o.children[0].Schema()
-	if s == nil {
-		return errSchemaPending
-	}
-	o.schema = s
-	return nil
-}
-
-func (k *reverseKernel) open(o *op) error {
-	rows, err := drain(o.children[0])
-	if err != nil {
-		return err
-	}
-	for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
-		rows[i], rows[j] = rows[j], rows[i]
-	}
-	k.rows = rows
-	k.i = 0
-	return nil
-}
-
-func (k *reverseKernel) next(o *op) (Tuple, error) {
-	if k.i >= len(k.rows) {
-		return nil, nil
-	}
-	t := k.rows[k.i]
-	k.i++
-	return t, nil
-}
-
-// NewReverse is a pipeline breaker emitting its input in reverse
-// order; ORDER BY ... DESC composes it with NewSort.
-func NewReverse(child Iterator) Iterator {
-	return newOp("reverse", &reverseKernel{}, child)
-}
-
-// ----------------------------------------------------------- aggregate
-
-type aggKernel struct {
-	baseKernel
-	groupBy []string
-	specs   []AggSpec
-	gCols   []int
-	sCols   []int // column per spec, -1 for count(*)
-	rows    []Tuple
-	i       int
-}
-
-func (k *aggKernel) resolve(o *op) error {
-	in := o.children[0].Schema()
-	if in == nil {
-		return errSchemaPending
-	}
-	k.gCols = make([]int, len(k.groupBy))
-	for i, n := range k.groupBy {
-		c := in.Col(n)
-		if c < 0 {
-			return fmt.Errorf("rel: aggregate: no attribute %q in %s", n, in)
-		}
-		k.gCols[i] = c
-	}
-	k.sCols = make([]int, len(k.specs))
-	for i, sp := range k.specs {
-		if sp.Attr == "*" {
-			k.sCols[i] = -1
-			continue
-		}
-		c := in.Col(sp.Attr)
-		if c < 0 {
-			return fmt.Errorf("rel: aggregate: no attribute %q in %s", sp.Attr, in)
-		}
-		k.sCols[i] = c
-	}
-	attrs := make([]Attribute, 0, len(k.groupBy)+len(k.specs))
-	for i, n := range k.groupBy {
-		attrs = append(attrs, Attribute{Name: n, Type: in.Attrs[k.gCols[i]].Type})
-	}
-	for _, sp := range k.specs {
-		kind := KindFloat
-		if sp.Func == AggCount {
-			kind = KindInt
-		}
-		attrs = append(attrs, Attribute{Name: sp.As, Type: kind})
-	}
-	s, err := TrySchema(in.Name+"_agg", "", attrs...)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	return nil
-}
-
-func (k *aggKernel) open(o *op) error {
-	type group struct {
-		key    Tuple
-		counts []int64
-		sums   []float64
-		mins   []Value
-		maxs   []Value
-	}
-	newGroup := func(key Tuple) *group {
-		g := &group{
-			key:    key,
-			counts: make([]int64, len(k.specs)),
-			sums:   make([]float64, len(k.specs)),
-			mins:   make([]Value, len(k.specs)),
-			maxs:   make([]Value, len(k.specs)),
-		}
-		for i := range k.specs {
-			g.mins[i] = Null
-			g.maxs[i] = Null
-		}
-		return g
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for {
-		t, err := o.children[0].Next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		key := ""
-		for _, c := range k.gCols {
-			key += t[c].Key()
-		}
-		g, ok := groups[key]
-		if !ok {
-			gk := make(Tuple, len(k.gCols))
-			for i, c := range k.gCols {
-				gk[i] = t[c]
-			}
-			g = newGroup(gk)
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i := range k.specs {
-			v := I(1)
-			if k.sCols[i] >= 0 {
-				v = t[k.sCols[i]]
-			}
-			if v.IsNull() {
-				continue
-			}
-			g.counts[i]++
-			g.sums[i] += v.Float()
-			if g.mins[i].IsNull() || v.Compare(g.mins[i]) < 0 {
-				g.mins[i] = v
-			}
-			if g.maxs[i].IsNull() || v.Compare(g.maxs[i]) > 0 {
-				g.maxs[i] = v
-			}
-		}
-	}
-	if len(k.groupBy) == 0 && len(groups) == 0 {
-		// A single global group, even over an empty input (SQL COUNT).
-		groups[""] = newGroup(nil)
-		order = append(order, "")
-	}
-	k.rows = k.rows[:0]
-	for _, key := range order {
-		g := groups[key]
-		nt := make(Tuple, 0, len(o.schema.Attrs))
-		nt = append(nt, g.key...)
-		for i, sp := range k.specs {
-			switch sp.Func {
-			case AggCount:
-				nt = append(nt, I(g.counts[i]))
-			case AggSum:
-				nt = append(nt, F(g.sums[i]))
-			case AggAvg:
-				if g.counts[i] == 0 {
-					nt = append(nt, Null)
-				} else {
-					nt = append(nt, F(g.sums[i]/float64(g.counts[i])))
-				}
-			case AggMin:
-				nt = append(nt, g.mins[i])
-			case AggMax:
-				nt = append(nt, g.maxs[i])
-			}
-		}
-		k.rows = append(k.rows, nt)
-	}
-	k.i = 0
-	return nil
-}
-
-func (k *aggKernel) next(o *op) (Tuple, error) {
-	if k.i >= len(k.rows) {
-		return nil, nil
-	}
-	t := k.rows[k.i]
-	k.i++
-	return t, nil
-}
-
-// NewAggregate is a pipeline breaker grouping by the groupBy attributes
-// and computing the given aggregates per group (group order follows
-// first occurrence in the input).
-func NewAggregate(child Iterator, groupBy []string, specs []AggSpec) Iterator {
-	return newOp("aggregate", &aggKernel{groupBy: groupBy, specs: specs}, child)
 }
 
 // --------------------------------------------------------------- union
@@ -1223,14 +665,14 @@ func (k *unionKernel) resolve(o *op) error {
 
 func (k *unionKernel) open(o *op) error { k.cur = 0; return nil }
 
-func (k *unionKernel) next(o *op) (Tuple, error) {
+func (k *unionKernel) next(o *op) (*Batch, error) {
 	for k.cur < len(o.children) {
-		t, err := o.children[k.cur].Next()
+		b, err := o.children[k.cur].NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if t != nil {
-			return t, nil
+		if b != nil {
+			return b.WithSchema(o.schema), nil
 		}
 		k.cur++
 	}
@@ -1238,133 +680,11 @@ func (k *unionKernel) next(o *op) (Tuple, error) {
 }
 
 // NewUnion concatenates its children's streams; every child must have
-// the first child's arity, and tuples are reinterpreted under the
-// first child's schema.
+// the first child's arity, and rows are reinterpreted under the first
+// child's schema.
 func NewUnion(children ...Iterator) Iterator {
 	if len(children) == 0 {
 		return errOp("union", errors.New("rel: union: no inputs"))
 	}
 	return newOp("union", &unionKernel{}, children...)
-}
-
-// ----------------------------------------------------------- transform
-
-type transformKernel struct {
-	baseKernel
-	bind func(in *Schema) (*Schema, func(Tuple) (Tuple, error), error)
-	fn   func(Tuple) (Tuple, error)
-}
-
-func (k *transformKernel) resolve(o *op) error {
-	in := o.children[0].Schema()
-	if in == nil {
-		return errSchemaPending
-	}
-	s, fn, err := k.bind(in)
-	if err != nil {
-		return err
-	}
-	o.schema = s
-	k.fn = fn
-	return nil
-}
-
-func (k *transformKernel) next(o *op) (Tuple, error) {
-	t, err := o.children[0].Next()
-	if err != nil || t == nil {
-		return nil, err
-	}
-	return k.fn(t)
-}
-
-// NewTransform is a one-in one-out operator whose output schema and
-// row function are late-bound from the input schema; gsql's projection
-// with star expansion and column renaming is built on it. bind must be
-// side-effect free (it may run at plan time when the input schema is
-// already known).
-func NewTransform(label string, child Iterator, bind func(in *Schema) (*Schema, func(Tuple) (Tuple, error), error)) Iterator {
-	return newOp(label, &transformKernel{bind: bind}, child)
-}
-
-// ------------------------------------------------------------ generate
-
-// Generated is what a Generator yields: the output schema, an optional
-// note surfaced in EXPLAIN (e.g. "gL hit") and a pull function that
-// returns tuples until (nil, nil).
-type Generated struct {
-	Schema  *Schema
-	Note    string
-	Workers int // worker count used to generate, surfaced in EXPLAIN when > 0
-	Pull    func() (Tuple, error)
-}
-
-// Generator consumes fully-materialised inputs and produces a streamed
-// output. Semantic joins (enrichment, link) are input-side pipeline
-// breakers built on it: HER matching needs whole relations, but their
-// results flow on tuple-at-a-time.
-type Generator func(ctx context.Context, inputs []*Relation) (Generated, error)
-
-type generateKernel struct {
-	baseKernel
-	gen  Generator
-	pull func() (Tuple, error)
-}
-
-func (k *generateKernel) open(o *op) error {
-	inputs := make([]*Relation, len(o.children))
-	for i, c := range o.children {
-		ts, err := drain(c)
-		if err != nil {
-			return err
-		}
-		s := c.Schema()
-		if s == nil {
-			return fmt.Errorf("rel: %s: input %d has no schema", o.stats.Label, i)
-		}
-		inputs[i] = &Relation{Schema: s, Tuples: ts}
-	}
-	g, err := k.gen(o.ctx, inputs)
-	if err != nil {
-		return err
-	}
-	if g.Schema == nil {
-		return fmt.Errorf("rel: %s: generator produced no schema", o.stats.Label)
-	}
-	o.schema = g.Schema
-	if g.Note != "" {
-		o.stats.Note = g.Note
-	}
-	if g.Workers > 0 {
-		o.stats.Workers = g.Workers
-	}
-	k.pull = g.Pull
-	return nil
-}
-
-func (k *generateKernel) next(o *op) (Tuple, error) { return k.pull() }
-
-// NewGenerate materialises the children at Open, hands them to gen and
-// streams the generated output. Its schema is nil until Open.
-func NewGenerate(label string, children []Iterator, gen Generator) Iterator {
-	return newOp(label, &generateKernel{gen: gen}, children...)
-}
-
-// NewApply is NewGenerate for producers that build a whole relation in
-// one step: f's result is streamed out, its note annotates the plan.
-func NewApply(label string, children []Iterator, f func(ctx context.Context, inputs []*Relation) (*Relation, string, error)) Iterator {
-	return NewGenerate(label, children, func(ctx context.Context, inputs []*Relation) (Generated, error) {
-		r, note, err := f(ctx, inputs)
-		if err != nil {
-			return Generated{}, err
-		}
-		i := 0
-		return Generated{Schema: r.Schema, Note: note, Pull: func() (Tuple, error) {
-			if i >= len(r.Tuples) {
-				return nil, nil
-			}
-			t := r.Tuples[i]
-			i++
-			return t, nil
-		}}, nil
-	})
 }

@@ -55,7 +55,7 @@ func TestPipelineEquivalenceWithEager(t *testing.T) {
 	iss.InsertVals(S("company1"), S("UK"))
 	eagerJ := must(HashJoin(p, iss, "issuer", "issuer"))
 	for _, buildLeft := range []bool{true, false} {
-		jt := NewHashJoin(NewScan(p), NewScan(iss), "issuer", "issuer", buildLeft)
+		jt := NewHashJoinP(NewScan(p), NewScan(iss), "issuer", "issuer", buildLeft, 1)
 		pj := must(Materialize(context.Background(), jt))
 		eqSorted(t, eagerJ, pj)
 	}
@@ -70,7 +70,7 @@ func TestHashJoinIterNullKeysBothSides(t *testing.T) {
 	b.InsertVals(I(7))
 	for _, buildLeft := range []bool{true, false} {
 		j := must(Materialize(context.Background(),
-			NewHashJoin(NewScan(a), NewScan(b), "k", "k", buildLeft)))
+			NewHashJoinP(NewScan(a), NewScan(b), "k", "k", buildLeft, 1)))
 		if j.Len() != 1 {
 			t.Fatalf("buildLeft=%v: rows = %d, want 1 (nulls must not join)", buildLeft, j.Len())
 		}
@@ -99,8 +99,8 @@ func TestOpenErrorsInsteadOfPanics(t *testing.T) {
 	r := customers()
 	cases := []Iterator{
 		NewProject(NewScan(r), "no_such"),
-		NewSort(NewScan(r), "no_such"),
-		NewHashJoin(NewScan(r), NewScan(r), "no_such", "cid", true),
+		NewSort(NewScan(r), SortKey{Attr: "no_such"}),
+		NewHashJoinP(NewScan(r), NewScan(r), "no_such", "cid", true, 1),
 		NewAggregate(NewScan(r), []string{"no_such"}, nil),
 	}
 	for i, it := range cases {
@@ -154,7 +154,7 @@ func TestSelectRenameNoAliasing(t *testing.T) {
 
 func TestCollectStatsCountsRows(t *testing.T) {
 	c := customers()
-	it := NewLimit(NewSort(NewScan(c), "cid"), 2)
+	it := NewLimit(NewSort(NewScan(c), Asc("cid")...), 2)
 	out := must(Materialize(context.Background(), it))
 	if out.Len() != 2 {
 		t.Fatalf("rows = %d", out.Len())
@@ -179,8 +179,8 @@ func TestCollectStatsCountsRows(t *testing.T) {
 }
 
 func TestIteratorRewind(t *testing.T) {
-	// Operators must be re-openable: the cross-join kernel re-opens its
-	// first child for every pass.
+	// Operators must be re-openable: a second Materialize of the same
+	// tree replays it from the start.
 	a := NewRelation(NewSchema("a", "", Attribute{Name: "x"}))
 	a.InsertVals(I(1))
 	a.InsertVals(I(2))
@@ -205,11 +205,11 @@ type closeTracker struct {
 func (c *closeTracker) Open(ctx context.Context) error { c.opens++; return c.Iterator.Open(ctx) }
 func (c *closeTracker) Close() error                   { c.closes++; return c.Iterator.Close() }
 
-// noopKernel yields no tuples; it exists so tests can build an op with
+// noopKernel yields no batches; it exists so tests can build an op with
 // arbitrary children without any kernel behaviour.
 type noopKernel struct{ baseKernel }
 
-func (noopKernel) next(o *op) (Tuple, error) { return nil, nil }
+func (noopKernel) next(o *op) (*Batch, error) { return nil, nil }
 
 // TestOpenFailureClosesOpenedChildren pins the atomicity of op.Open:
 // when a child fails to open mid-fan, every child opened before it
@@ -258,4 +258,116 @@ func TestKernelFailureClosesChildren(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close after failed Open: %v", err)
 	}
+}
+
+// TestLateBindFailureClosesTree: a filter whose bind fails at Open
+// must not leave its child open, and a second Close stays safe.
+func TestLateBindFailureClosesTree(t *testing.T) {
+	child := &closeTracker{Iterator: NewScan(customers())}
+	it := NewFilterWith("select", child, func(*Schema) (BatchPred, error) {
+		return nil, errors.New("boom")
+	})
+	// The bind already failed once at construction; Open retries it.
+	if err := it.Open(context.Background()); err == nil {
+		t.Fatal("expected bind error")
+	}
+	if child.opens != child.closes {
+		t.Fatalf("child: opens=%d closes=%d", child.opens, child.closes)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatalf("Close after failed Open: %v", err)
+	}
+}
+
+func TestStatsReportBatchCounts(t *testing.T) {
+	r := numbered(300)
+	it := NewFilter(NewScanSize(r, 100), func(b *Batch) {
+		x := b.Col(0).Ints()
+		b.Refine(func(row int) bool { return x[row] < 150 })
+	})
+	if out := must(Materialize(context.Background(), it)); out.Len() != 150 {
+		t.Fatalf("rows = %d", out.Len())
+	}
+	sel := CollectStats(it).Lines[0]
+	if sel.Label != "select" || sel.Batches != 2 || sel.Rows != 150 {
+		t.Fatalf("select line = %+v, want 150 rows in 2 batches (the third is fully filtered)", sel)
+	}
+}
+
+func TestPlanLineBatchesRoundTrip(t *testing.T) {
+	l := PlanLine{Depth: 2, Label: "select", Note: "x [y]", Rows: 500, Batches: 4, Workers: 3}
+	s := l.String()
+	if !strings.Contains(s, "batches=4 rows/batch=125") {
+		t.Fatalf("rendered %q", s)
+	}
+	got, ok := ParsePlanLine(s)
+	if !ok {
+		t.Fatalf("unparseable: %q", s)
+	}
+	if got.Batches != 4 || got.Rows != 500 || got.Workers != 3 || got.Note != "x [y]" || got.Depth != 2 {
+		t.Fatalf("round trip = %+v", got)
+	}
+	// Lines without batch annotations still parse.
+	plain := PlanLine{Label: "scan t", Rows: 10}
+	got, ok = ParsePlanLine(plain.String())
+	if !ok || got.Batches != 0 {
+		t.Fatalf("plain round trip = %+v ok=%v", got, ok)
+	}
+}
+
+func TestVectorRoundTrip(t *testing.T) {
+	vals := []Value{I(1), S("x"), Null, F(2.5), B(true), I(-7), Null, S("")}
+	var v Vector
+	for _, val := range vals {
+		v.Append(val)
+	}
+	if v.Len() != len(vals) {
+		t.Fatalf("len = %d", v.Len())
+	}
+	for i, want := range vals {
+		got := v.ValueAt(i)
+		if got.Kind() != want.Kind() || got.Key() != want.Key() {
+			t.Fatalf("row %d = %v (%v), want %v (%v)", i, got, got.Kind(), want, want.Kind())
+		}
+	}
+	// Zero-copy slices see the same values under shifted indexes.
+	sl := v.Slice(2, 6)
+	if sl.Len() != 4 {
+		t.Fatalf("slice len = %d", sl.Len())
+	}
+	for i := 0; i < 4; i++ {
+		if sl.ValueAt(i).Key() != vals[2+i].Key() {
+			t.Fatalf("slice row %d = %v, want %v", i, sl.ValueAt(i), vals[2+i])
+		}
+	}
+}
+
+func TestBatchTupleRoundTrip(t *testing.T) {
+	r := keyed("t", 10)
+	b := NewBatch(r.Schema)
+	for _, tup := range r.Tuples {
+		b.AppendTuple(tup)
+	}
+	if b.Rows() != 10 {
+		t.Fatalf("rows = %d", b.Rows())
+	}
+	sameRows(t, b.AppendTuplesTo(nil), r.Tuples)
+	sameRelation(t, b.Relation(), r)
+}
+
+func TestColumnarCacheInvalidation(t *testing.T) {
+	r := keyed("c", 10)
+	c1 := r.columns()
+	if c2 := r.columns(); c2 != c1 {
+		t.Fatal("cache not reused")
+	}
+	r.InsertVals(I(99), S("new"), I(10))
+	c3 := r.columns()
+	if c3 == c1 {
+		t.Fatal("cache not invalidated by Insert")
+	}
+	if c3.n != 11 {
+		t.Fatalf("cache rows = %d", c3.n)
+	}
+	sameRelation(t, mustMaterialize(t, NewScan(r)), r)
 }

@@ -1,8 +1,8 @@
 // Eager operator shims. The fallible ones materialise the
-// corresponding pipelined iterator (iter.go), so the two execution
-// paths share one implementation and every failure (bad attribute
-// name, schema collision) surfaces as an error — never a panic,
-// matching the iterator engine's no-panic contract. Select, Rename and
+// corresponding pipelined operator, so the eager API and query plans
+// share one implementation and every failure (bad attribute name,
+// schema collision) surfaces as an error — never a panic, matching
+// the iterator engine's no-panic contract. Select, Rename and
 // Distinct have no failure modes at all and keep their single-return
 // signatures with direct implementations.
 package rel
@@ -67,7 +67,7 @@ func CrossJoinAll(rels []*Relation, names []string) (*Relation, error) {
 // hash table is built on the smaller side.
 func HashJoin(a, b *Relation, leftAttr, rightAttr string) (*Relation, error) {
 	buildLeft := len(b.Tuples) >= len(a.Tuples)
-	return Materialize(nil, NewHashJoin(NewScan(a), NewScan(b), leftAttr, rightAttr, buildLeft))
+	return Materialize(nil, NewHashJoinP(NewScan(a), NewScan(b), leftAttr, rightAttr, buildLeft, 1))
 }
 
 // NestedLoopJoin joins a and b with an arbitrary predicate over the
@@ -84,18 +84,7 @@ func NestedLoopJoin(a, b *Relation, p func(joined Tuple) bool) (*Relation, error
 // product whose qualified names may collide — that surfaces as an
 // error instead of a panic.
 func NaturalJoin(a, b *Relation) (*Relation, error) {
-	return Materialize(nil, NewNaturalJoin(NewScan(a), NewScan(b)))
-}
-
-func jointKey(t Tuple, cols []int) (string, bool) {
-	k := ""
-	for _, c := range cols {
-		if t[c].IsNull() {
-			return "", false
-		}
-		k += t[c].Key()
-	}
-	return k, true
+	return Materialize(nil, NewNaturalJoin(NewScan(a), b))
 }
 
 // Distinct returns r with duplicate tuples removed (first occurrence kept).
@@ -124,7 +113,7 @@ func Union(a, b *Relation) (*Relation, error) {
 // SortBy sorts r by the named attributes ascending (stable) and returns
 // a new relation.
 func SortBy(r *Relation, names ...string) (*Relation, error) {
-	return Materialize(nil, NewSort(NewScan(r), names...))
+	return Materialize(nil, NewSort(NewScan(r), Asc(names...)...))
 }
 
 // AggFunc enumerates aggregate functions.

@@ -1,10 +1,12 @@
-// Morsel-driven parallel execution. NewExchange splits its input into
-// fixed-size morsels, runs an independent copy of a sub-pipeline over
-// each morsel on a bounded worker pool, and merges the per-morsel
-// outputs back into one stream *in morsel order* — so a parallel plan
-// produces exactly the tuple sequence of its serial counterpart, which
-// keeps SORT/LIMIT plans deterministic and lets the differential test
-// harness compare serial and parallel executions row for row.
+// Morsel-driven parallel execution. NewExchange drains its child at
+// Open, runs an independent copy of a sub-pipeline over each input
+// batch (one batch = one morsel) on a bounded worker pool, and merges
+// the per-morsel outputs back into one stream *in morsel order* — so a
+// parallel plan produces exactly the batch sequence of its serial
+// counterpart, which keeps SORT/LIMIT plans deterministic, keeps the
+// per-operator row and batch counters identical to serial execution
+// (the metrics-parity invariant) and lets the differential harness
+// compare serial and parallel executions row for row.
 package rel
 
 import (
@@ -21,11 +23,6 @@ import (
 	"semjoin/internal/obs"
 )
 
-// DefaultMorselSize is the tuple count per morsel when NewExchange is
-// used without an explicit size. Small enough that short inputs still
-// fan out, large enough that per-morsel pipeline setup is noise.
-const DefaultMorselSize = 256
-
 // PipelineBuilder constructs one worker's sub-pipeline over a morsel
 // source. It is called once per morsel (pipeline construction is cheap)
 // and must be reusable: any state it closes over has to be read-only.
@@ -33,21 +30,20 @@ type PipelineBuilder func(source Iterator) Iterator
 
 type exchangeTask struct {
 	done chan struct{}
-	out  []Tuple
+	out  []*Batch
 	err  error
 }
 
 type exchangeKernel struct {
 	baseKernel
-	p      int
-	morsel int
-	build  PipelineBuilder
+	p     int
+	build PipelineBuilder
 
 	tasks  []*exchangeTask
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	cur    int // morsel being drained
-	i      int // next tuple within the current morsel
+	cur    int // task being drained
+	i      int // next batch within the current task
 }
 
 func (k *exchangeKernel) resolve(o *op) error {
@@ -55,10 +51,10 @@ func (k *exchangeKernel) resolve(o *op) error {
 	if in == nil {
 		return errSchemaPending
 	}
-	// Probe the sub-pipeline over an empty input to learn the output
-	// schema; builders whose schema needs data (generators) force a
-	// short open/close round trip.
-	probe := k.build(NewScan(NewRelation(in)))
+	// Probe the sub-pipeline over an empty morsel source to learn the
+	// output schema; builders whose schema needs data (generators)
+	// force a short open/close round trip.
+	probe := k.build(newMorselSource(in, nil))
 	if probe.Schema() == nil {
 		if err := probe.Open(context.Background()); err != nil {
 			probe.Close()
@@ -79,7 +75,7 @@ func (k *exchangeKernel) resolve(o *op) error {
 		for it := probe; it != nil; {
 			cs := it.Children()
 			if len(cs) == 0 {
-				break // the morsel source scan
+				break // the morsel source
 			}
 			labels = append(labels, it.Stats().Label)
 			it = cs[0]
@@ -90,38 +86,33 @@ func (k *exchangeKernel) resolve(o *op) error {
 }
 
 func (k *exchangeKernel) open(o *op) error {
-	rows, err := drain(o.children[0])
+	morsels, err := drainBatches(o.children[0])
 	if err != nil {
 		return err
 	}
 	in := o.children[0].Schema()
-	morsel := k.morsel
-	if morsel <= 0 {
-		morsel = DefaultMorselSize
+	var rows int64
+	for _, m := range morsels {
+		rows += int64(m.Rows())
 	}
-	n := (len(rows) + morsel - 1) / morsel
+	n := len(morsels)
 	if n == 0 {
 		n = 1 // one empty morsel keeps generators/edge cases uniform
+		morsels = []*Batch{nil}
 	}
 	k.tasks = make([]*exchangeTask, n)
 	for i := range k.tasks {
 		k.tasks[i] = &exchangeTask{done: make(chan struct{})}
 	}
-	workers := k.p
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(k.p, n))
 	o.stats.Workers = workers
 
-	// Worker-occupancy metrics: morsel count (batches), input rows and
-	// the realised worker count per exchange. Recorded once per Open, so
+	// Worker-occupancy metrics: morsel count, input rows and the
+	// realised worker count per exchange. Recorded once per Open, so
 	// the morsel hot loop stays clean.
 	reg := obs.FromContext(o.ctx)
 	reg.Counter("rel_exchange_morsels_total").Add(int64(n))
-	reg.Counter("rel_exchange_input_rows_total").Add(int64(len(rows)))
+	reg.Counter("rel_exchange_input_rows_total").Add(rows)
 	reg.Histogram("rel_exchange_workers", obs.SizeBuckets).Observe(float64(workers))
 
 	ctx, cancel := context.WithCancel(o.ctx)
@@ -136,13 +127,12 @@ func (k *exchangeKernel) open(o *op) error {
 				if idx >= n || ctx.Err() != nil {
 					return
 				}
-				lo := idx * morsel
-				hi := lo + morsel
-				if hi > len(rows) {
-					hi = len(rows)
+				var src []*Batch
+				if morsels[idx] != nil {
+					src = morsels[idx : idx+1]
 				}
 				t := k.tasks[idx]
-				t.out, t.err = runMorsel(ctx, k.build, in, rows[lo:hi])
+				t.out, t.err = runMorsel(ctx, k.build, in, src)
 				close(t.done)
 			}
 		}()
@@ -151,39 +141,37 @@ func (k *exchangeKernel) open(o *op) error {
 	return nil
 }
 
-// runMorsel executes one sub-pipeline over a morsel of tuples. The
-// morsel source scan is unmetered (its rows were already counted
-// entering the exchange); the sub-pipeline's own operators record
-// normally, summing across morsels to the serial plan's counts.
-func runMorsel(ctx context.Context, build PipelineBuilder, schema *Schema, rows []Tuple) ([]Tuple, error) {
-	src := &Relation{Schema: schema, Tuples: rows}
-	sub := build(newMorselScan(src))
+// runMorsel executes one sub-pipeline over a single-batch morsel. The
+// morsel source is unmetered (its rows and batches were already
+// counted entering the exchange); the sub-pipeline's own operators
+// record normally and, because every morsel is exactly one input
+// batch, their per-operator counts sum to the serial plan's.
+func runMorsel(ctx context.Context, build PipelineBuilder, schema *Schema, src []*Batch) ([]*Batch, error) {
+	sub := build(newMorselSource(schema, src))
 	if err := sub.Open(ctx); err != nil {
 		sub.Close()
 		return nil, err
 	}
-	var out []Tuple
+	var out []*Batch
 	for {
-		t, err := sub.Next()
+		b, err := sub.NextBatch()
 		if err != nil {
 			sub.Close()
 			return nil, err
 		}
-		if t == nil {
+		if b == nil {
 			break
 		}
-		out = append(out, t)
-		if len(out)&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				sub.Close()
-				return nil, err
-			}
+		out = append(out, b)
+		if err := ctx.Err(); err != nil {
+			sub.Close()
+			return nil, err
 		}
 	}
 	return out, sub.Close()
 }
 
-func (k *exchangeKernel) next(o *op) (Tuple, error) {
+func (k *exchangeKernel) next(o *op) (*Batch, error) {
 	for k.cur < len(k.tasks) {
 		t := k.tasks[k.cur]
 		select {
@@ -195,9 +183,9 @@ func (k *exchangeKernel) next(o *op) (Tuple, error) {
 			return nil, t.err
 		}
 		if k.i < len(t.out) {
-			tup := t.out[k.i]
+			b := t.out[k.i]
 			k.i++
-			return tup, nil
+			return b, nil
 		}
 		t.out = nil // release drained morsel memory early
 		k.cur++
@@ -216,25 +204,18 @@ func (k *exchangeKernel) close(o *op) error {
 	return nil
 }
 
-// NewExchange is the morsel-driven parallelism operator: it
-// materialises child at Open, splits the rows into morsels of
-// DefaultMorselSize, runs build's sub-pipeline over the morsels on p
-// workers, and merges outputs in morsel order. With p <= 1 it
-// degenerates to running the sub-pipeline inline over one morsel
-// stream. Cancellation of the Open context stops the workers, and
-// Close waits for them, so a cancelled plan leaks no goroutines.
+// NewExchange is the morsel-driven parallelism operator: it drains
+// child at Open, runs build's sub-pipeline over the batches on p
+// workers, one batch per morsel, and merges outputs in morsel order.
+// With p <= 1 it degenerates to running the sub-pipeline inline over
+// one morsel stream. Cancellation of the Open context stops the
+// workers, and Close waits for them, so a cancelled plan leaks no
+// goroutines.
 func NewExchange(child Iterator, p int, build PipelineBuilder) Iterator {
-	return NewExchangeMorsel(child, p, 0, build)
-}
-
-// NewExchangeMorsel is NewExchange with an explicit morsel size
-// (tuples per morsel); size <= 0 means DefaultMorselSize. Tests use
-// tiny morsels to force multi-worker schedules on small inputs.
-func NewExchangeMorsel(child Iterator, p int, morsel int, build PipelineBuilder) Iterator {
 	if build == nil {
 		return errOp("exchange", errors.New("rel: exchange: nil pipeline builder"))
 	}
-	return newOp("exchange", &exchangeKernel{p: p, morsel: morsel, build: build}, child)
+	return newOp("exchange", &exchangeKernel{p: p, build: build}, child)
 }
 
 // ---------------------------------------------------- parallel build
@@ -269,34 +250,34 @@ func valuePartition(key Value, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// buildPartitioned builds per-partition hash tables over ts in
-// parallel: a sequential pass splits the tuples by key hash (keeping
-// input order within each partition, so probe results match the serial
-// build exactly), then one goroutine per partition builds its table.
-// Tables are keyed on normalised Values directly — no per-row string
-// formatting.
-func buildPartitioned(ts []Tuple, col, workers int) []map[Value][]Tuple {
-	parts := make([][]Tuple, workers)
+// buildPartitioned builds per-partition hash tables over the live rows
+// of b keyed on column col, in parallel: a sequential pass splits the
+// rows by key hash (keeping input order within each partition, so
+// probe results match the serial build exactly), then one goroutine
+// per partition builds its table of physical row indexes.
+func buildPartitioned(b *Batch, col, workers int) []map[Value][]int32 {
+	rows := make([][]int32, workers)
 	keys := make([][]Value, workers)
-	for _, t := range ts {
-		key, ok := t[col].HashKey()
+	kv := b.Col(col)
+	for i, n := 0, b.Rows(); i < n; i++ {
+		r := b.RowIdx(i)
+		key, ok := kv.ValueAt(r).HashKey()
 		if !ok {
 			continue
 		}
 		p := valuePartition(key, workers)
-		parts[p] = append(parts[p], t)
+		rows[p] = append(rows[p], int32(r))
 		keys[p] = append(keys[p], key)
 	}
-	tables := make([]map[Value][]Tuple, workers)
+	tables := make([]map[Value][]int32, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for p := 0; p < workers; p++ {
 		go func(p int) {
 			defer wg.Done()
-			ht := make(map[Value][]Tuple, len(parts[p]))
-			for i, t := range parts[p] {
-				key := keys[p][i]
-				ht[key] = append(ht[key], t)
+			ht := make(map[Value][]int32, len(rows[p]))
+			for i, r := range rows[p] {
+				ht[keys[p][i]] = append(ht[keys[p][i]], r)
 			}
 			tables[p] = ht
 		}(p)

@@ -31,7 +31,7 @@ func TestExchangeMatchesSerialExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Materialize(nil, NewExchangeMorsel(NewScan(r), p, 64, build))
+			par, err := Materialize(nil, NewExchange(NewScanSize(r, 64), p, build))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestExchangeLimitDeterministic(t *testing.T) {
 	r := numbered(500)
 	build := func(in Iterator) Iterator { return NewSelect(in, evenPred) }
 	for i := 0; i < 5; i++ {
-		out, err := Materialize(nil, NewLimit(NewExchangeMorsel(NewScan(r), 4, 32, build), 10))
+		out, err := Materialize(nil, NewLimit(NewExchange(NewScanSize(r, 32), 4, build), 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestExchangeLimitDeterministic(t *testing.T) {
 
 func TestExchangeWorkersStat(t *testing.T) {
 	r := numbered(300)
-	ex := NewExchangeMorsel(NewScan(r), 4, 64, func(in Iterator) Iterator { return in })
+	ex := NewExchange(NewScanSize(r, 64), 4, func(in Iterator) Iterator { return in })
 	if _, err := Materialize(nil, ex); err != nil {
 		t.Fatal(err)
 	}
-	// 300 rows / morsel 64 = 5 morsels, capped by p=4.
+	// 300 rows in batches of 64 = 5 morsels, capped by p=4.
 	if got := ex.Stats().Workers; got != 4 {
 		t.Fatalf("workers = %d, want 4", got)
 	}
@@ -97,14 +97,14 @@ func contains(s, sub string) bool {
 func TestExchangeSubPipelineError(t *testing.T) {
 	boom := errors.New("boom")
 	r := numbered(400)
-	ex := NewExchangeMorsel(NewScan(r), 4, 64, func(in Iterator) Iterator {
-		return NewTransform("explode", in, func(s *Schema) (*Schema, func(Tuple) (Tuple, error), error) {
-			return s, func(tp Tuple) (Tuple, error) {
+	ex := NewExchange(NewScanSize(r, 64), 4, func(in Iterator) Iterator {
+		return NewApply("explode", []Iterator{in}, func(_ context.Context, ins []*Relation) (*Relation, string, error) {
+			for _, tp := range ins[0].Tuples {
 				if tp[0].Int() == 137 {
-					return nil, boom
+					return nil, "", boom
 				}
-				return tp, nil
-			}, nil
+			}
+			return ins[0], "", nil
 		})
 	})
 	_, err := Materialize(nil, ex)
@@ -137,28 +137,27 @@ func TestExchangeCancellationLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	r := numbered(10000)
 	slow := func(in Iterator) Iterator {
-		return NewTransform("slow", in, func(s *Schema) (*Schema, func(Tuple) (Tuple, error), error) {
-			return s, func(tp Tuple) (Tuple, error) {
-				time.Sleep(50 * time.Microsecond)
-				return tp, nil
-			}, nil
+		return NewSelect(in, func(Tuple) bool {
+			time.Sleep(50 * time.Microsecond)
+			return true
 		})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ex := NewExchangeMorsel(NewScan(r), 4, 16, slow)
+	ex := NewExchange(NewScanSize(r, 16), 4, slow)
 	if err := ex.Open(ctx); err != nil {
+		ex.Close()
 		t.Fatal(err)
 	}
-	// Drain a few rows, then cancel mid-stream.
+	// Drain a few batches, then cancel mid-stream.
 	for i := 0; i < 3; i++ {
-		if _, err := ex.Next(); err != nil {
+		if _, err := ex.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cancel()
 	for {
-		tp, err := ex.Next()
-		if err != nil || tp == nil {
+		b, err := ex.NextBatch()
+		if err != nil || b == nil {
 			break
 		}
 	}
@@ -170,9 +169,10 @@ func TestExchangeCancellationLeaksNoGoroutines(t *testing.T) {
 
 func TestExchangeCloseWithoutDrainLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := NewExchangeMorsel(NewScan(numbered(5000)), 8, 16,
+	ex := NewExchange(NewScanSize(numbered(5000), 16), 8,
 		func(in Iterator) Iterator { return NewSelect(in, evenPred) })
 	if err := ex.Open(context.Background()); err != nil {
+		ex.Close()
 		t.Fatal(err)
 	}
 	if err := ex.Close(); err != nil {
@@ -181,75 +181,17 @@ func TestExchangeCloseWithoutDrainLeaksNoGoroutines(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-func TestParallelHashJoinBuildMatchesSerial(t *testing.T) {
-	// Enough build rows to cross parallelBuildMin, with duplicate keys to
-	// exercise per-key chains and some probe misses.
-	n := 2 * parallelBuildMin
-	build := NewRelation(NewSchema("b", "", Attribute{Name: "k", Type: KindInt}, Attribute{Name: "v", Type: KindInt}))
-	for i := 0; i < n; i++ {
-		build.InsertVals(I(int64(i%97)), I(int64(i)))
-	}
-	probe := NewRelation(NewSchema("p", "", Attribute{Name: "k", Type: KindInt}, Attribute{Name: "w", Type: KindInt}))
-	for i := 0; i < 300; i++ {
-		probe.InsertVals(I(int64(i%131)), I(int64(i)))
-	}
-	serial, err := Materialize(nil, NewHashJoinP(NewScan(probe), NewScan(build), "k", "k", false, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		it := NewHashJoinP(NewScan(probe), NewScan(build), "k", "k", false, workers)
-		par, err := Materialize(nil, it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Len() != serial.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, par.Len(), serial.Len())
-		}
-		// The partitioned build preserves insertion order within each key,
-		// so probe output is identical tuple for tuple.
-		for i := range par.Tuples {
-			for c := range par.Tuples[i] {
-				if !par.Tuples[i][c].Equal(serial.Tuples[i][c]) {
-					t.Fatalf("workers=%d row %d col %d: %v != %v",
-						workers, i, c, par.Tuples[i][c], serial.Tuples[i][c])
-				}
-			}
-		}
-		if workers > 1 && it.Stats().Workers != workers {
-			t.Fatalf("workers stat = %d, want %d", it.Stats().Workers, workers)
-		}
-	}
-}
-
-func TestParallelHashJoinSmallBuildStaysSerial(t *testing.T) {
-	// Below the threshold the parallel build must not engage.
-	build := NewRelation(NewSchema("b", "", Attribute{Name: "k", Type: KindInt}))
-	for i := 0; i < 10; i++ {
-		build.InsertVals(I(int64(i)))
-	}
-	probe := NewRelation(NewSchema("p", "", Attribute{Name: "k", Type: KindInt}))
-	probe.InsertVals(I(3))
-	it := NewHashJoinP(NewScan(probe), NewScan(build), "k", "k", false, 8)
-	out, err := Materialize(nil, it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("rows = %d", out.Len())
-	}
-	if it.Stats().Workers != 0 {
-		t.Fatalf("small build should stay serial, workers = %d", it.Stats().Workers)
-	}
-}
-
 func TestBuildPartitionedCoversAllKeys(t *testing.T) {
-	var ts []Tuple
+	r := NewRelation(NewSchema("b", "", Attribute{Name: "k", Type: KindInt}))
 	for i := 0; i < 1000; i++ {
-		ts = append(ts, Tuple{I(int64(i % 50))})
+		r.InsertVals(I(int64(i % 50)))
 	}
-	ts = append(ts, Tuple{Null}) // null keys never enter the table
-	parts := buildPartitioned(ts, 0, 4)
+	r.InsertVals(Null) // null keys never enter the table
+	b := NewBatch(r.Schema)
+	for _, tp := range r.Tuples {
+		b.AppendTuple(tp)
+	}
+	parts := buildPartitioned(b, 0, 4)
 	total := 0
 	for _, p := range parts {
 		for _, chain := range p {
@@ -257,7 +199,7 @@ func TestBuildPartitionedCoversAllKeys(t *testing.T) {
 		}
 	}
 	if total != 1000 {
-		t.Fatalf("partitioned %d tuples, want 1000", total)
+		t.Fatalf("partitioned %d rows, want 1000", total)
 	}
 	for k := 0; k < 50; k++ {
 		key, ok := I(int64(k)).HashKey()
@@ -276,19 +218,19 @@ func TestExchangeGeneratorSchemaProbe(t *testing.T) {
 	// still resolves under an exchange via the empty-input probe.
 	r := numbered(100)
 	build := func(in Iterator) Iterator {
-		return NewGenerate("gen", []Iterator{in}, func(ctx context.Context, ins []*Relation) (Generated, error) {
-			i := 0
-			return Generated{Schema: ins[0].Schema, Pull: func() (Tuple, error) {
-				if i >= len(ins[0].Tuples) {
+		return NewGenerate("gen", []Iterator{in}, func(ctx context.Context, ins []*Batch) (Generated, error) {
+			src := ins[0]
+			return Generated{Schema: src.Schema(), Pull: func() (*Batch, error) {
+				b := src
+				src = nil
+				if b == nil || b.Rows() == 0 {
 					return nil, nil
 				}
-				tp := ins[0].Tuples[i]
-				i++
-				return tp, nil
+				return b, nil
 			}}, nil
 		})
 	}
-	out, err := Materialize(nil, NewExchangeMorsel(NewScan(r), 3, 16, build))
+	out, err := Materialize(nil, NewExchange(NewScanSize(r, 16), 3, build))
 	if err != nil {
 		t.Fatal(err)
 	}

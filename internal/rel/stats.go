@@ -13,7 +13,7 @@ type OpStats struct {
 	Label   string
 	Note    string // strategy annotation, e.g. "gL hit"
 	RowsOut int64
-	Batches int64 // batches emitted by a vectorized operator, 0 for row operators
+	Batches int64 // batches emitted
 	Elapsed time.Duration
 	Workers int // goroutines used by a parallel operator, 0 if serial
 }
@@ -25,13 +25,13 @@ type PlanLine struct {
 	Label   string
 	Note    string
 	Rows    int64
-	Batches int64 // 0 for row-at-a-time operators
+	Batches int64
 	Elapsed time.Duration
 	Workers int
 }
 
 // RowsPerBatch returns the mean live rows per emitted batch, rounded
-// down; 0 when the operator is not vectorized.
+// down; 0 when the operator emitted nothing.
 func (l PlanLine) RowsPerBatch() int64 {
 	if l.Batches <= 0 {
 		return 0
@@ -40,9 +40,9 @@ func (l PlanLine) RowsPerBatch() int64 {
 }
 
 // String renders the line indented by depth, e.g.
-// "  hash join tid=tid  rows=42 time=1.2ms workers=4". Vectorized
-// operators additionally report their batch traffic:
-// "select  rows=500 time=80µs batches=4 rows/batch=125".
+// "  hash join tid=tid  rows=42 time=1.2ms batches=1 rows/batch=42
+// workers=4". The batch traffic is omitted for an operator that
+// emitted nothing.
 func (l PlanLine) String() string {
 	label := l.Label
 	if l.Note != "" {
@@ -86,8 +86,7 @@ func ParsePlanLine(line string) (PlanLine, bool) {
 	}
 	l.Elapsed = d
 	// Optional trailing fields, in rendering order: batches= and
-	// rows/batch= (vectorized operators), then workers= (parallel
-	// operators).
+	// rows/batch=, then workers= (parallel operators).
 	rest := fields[2:]
 	if len(rest) > 0 && strings.HasPrefix(rest[0], "batches=") {
 		if _, err := fmt.Sscanf(rest[0], "batches=%d", &l.Batches); err != nil {
@@ -135,43 +134,22 @@ type ExecStats struct {
 }
 
 // CollectStats snapshots the counters of the operator tree rooted at
-// it into an ExecStats (depth-first pre-order, root first). The walk
-// descends through row children and batch children alike, so hybrid
-// plans (a row pipeline over an unbatched vectorized pipeline, or a
-// batcher over row operators) render as one tree.
+// it into an ExecStats (depth-first pre-order, root first).
 func CollectStats(it Iterator) *ExecStats {
 	st := &ExecStats{}
-	var walk func(node statNode, depth int)
-	walk = func(node statNode, depth int) {
+	var walk func(node Iterator, depth int)
+	walk = func(node Iterator, depth int) {
 		s := node.Stats()
 		st.Lines = append(st.Lines, PlanLine{
 			Depth: depth, Label: s.Label, Note: s.Note,
 			Rows: s.RowsOut, Batches: s.Batches, Elapsed: s.Elapsed, Workers: s.Workers,
 		})
-		if ri, ok := node.(interface{ Children() []Iterator }); ok {
-			for _, c := range ri.Children() {
-				walk(c, depth+1)
-			}
-		}
-		if bi, ok := node.(interface{ BatchChildren() []BatchIterator }); ok {
-			for _, c := range bi.BatchChildren() {
-				walk(c, depth+1)
-			}
-		}
-		if rk, ok := node.(interface{ RowChildren() []Iterator }); ok {
-			for _, c := range rk.RowChildren() {
-				walk(c, depth+1)
-			}
+		for _, c := range node.Children() {
+			walk(c, depth+1)
 		}
 	}
 	walk(it, 0)
 	return st
-}
-
-// statNode is the least common denominator of Iterator and
-// BatchIterator that the stats walk needs.
-type statNode interface {
-	Stats() *OpStats
 }
 
 // TotalRows sums rows-out across all operators — a proxy for how much

@@ -48,7 +48,7 @@ func (v *Vector) Floats() []float64 { return v.floats }
 func (v *Vector) Bools() []bool { return v.bools }
 
 // ValueAt returns row i as a Value. This allocates nothing (Value is a
-// plain struct), so the row shims stay cheap.
+// plain struct), so per-row access from kernels stays cheap.
 func (v *Vector) ValueAt(i int) Value {
 	switch v.kinds[i] {
 	case KindString:
@@ -99,6 +99,35 @@ func (v *Vector) Append(val Value) {
 		v.bools = padTo(v.bools, i+1)
 		v.bools[i] = val.b
 	}
+}
+
+// gatherPayload appends src[r] for every r in rows at dst[base:],
+// padding dst first. Rows past src's end are of another kind there and
+// keep the zero value.
+func gatherPayload[T any](dst, src []T, base int, rows []int32) []T {
+	if len(src) == 0 {
+		return dst
+	}
+	dst = padTo(dst, base+len(rows))
+	for i, r := range rows {
+		if int(r) < len(src) {
+			dst[base+i] = src[r]
+		}
+	}
+	return dst
+}
+
+// AppendRows appends the rows of src listed in rows, one payload array
+// at a time instead of one kind switch per value.
+func (v *Vector) AppendRows(src *Vector, rows []int32) {
+	base := len(v.kinds)
+	for _, r := range rows {
+		v.kinds = append(v.kinds, src.kinds[r])
+	}
+	v.strs = gatherPayload(v.strs, src.strs, base, rows)
+	v.ints = gatherPayload(v.ints, src.ints, base, rows)
+	v.floats = gatherPayload(v.floats, src.floats, base, rows)
+	v.bools = gatherPayload(v.bools, src.bools, base, rows)
 }
 
 // clampSlice is s[lo:hi] tolerant of payload arrays shorter than hi

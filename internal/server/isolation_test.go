@@ -23,7 +23,7 @@ func sessionSettings(t *testing.T, c *client) map[string]string {
 }
 
 // TestSessionIsolation is the session-isolation property: SET
-// PARALLELISM / SET VECTORIZED / SET SLOW_QUERY_MS in one session
+// PARALLELISM / SET SLOW_QUERY_MS in one session
 // must never become visible in another — neither in an existing
 // concurrent session nor in one opened afterwards.
 func TestSessionIsolation(t *testing.T) {
@@ -32,16 +32,15 @@ func TestSessionIsolation(t *testing.T) {
 
 	before := sessionSettings(t, b)
 	defPar := before["parallelism"]
-	if before["vectorized"] != "on" || before["slow_query_ms"] != "0" {
+	if before["slow_query_ms"] != "0" {
 		t.Fatalf("unexpected defaults: %v", before)
 	}
 
 	// Diverge session A on every knob.
 	a.mustRows("set parallelism 1")
-	a.mustRows("set vectorized off")
 	a.mustRows("set slow_query_ms 250")
 	gotA := sessionSettings(t, a)
-	if gotA["parallelism"] != "1" || gotA["vectorized"] != "off" || gotA["slow_query_ms"] != "250" {
+	if gotA["parallelism"] != "1" || gotA["slow_query_ms"] != "250" {
 		t.Fatalf("session A settings did not apply: %v", gotA)
 	}
 
@@ -50,16 +49,13 @@ func TestSessionIsolation(t *testing.T) {
 	if gotB["parallelism"] != defPar {
 		t.Errorf("SET PARALLELISM leaked: B sees %q, want %q", gotB["parallelism"], defPar)
 	}
-	if gotB["vectorized"] != "on" {
-		t.Errorf("SET VECTORIZED leaked: B sees %q, want on", gotB["vectorized"])
-	}
 	if gotB["slow_query_ms"] != "0" {
 		t.Errorf("SET SLOW_QUERY_MS leaked: B sees %q, want 0", gotB["slow_query_ms"])
 	}
 	// ...and so must a session opened after A diverged.
 	cNew := dialPipe(t, srv)
 	gotNew := sessionSettings(t, cNew)
-	if gotNew["parallelism"] != defPar || gotNew["vectorized"] != "on" || gotNew["slow_query_ms"] != "0" {
+	if gotNew["parallelism"] != defPar || gotNew["slow_query_ms"] != "0" {
 		t.Errorf("fresh session inherited A's settings: %v", gotNew)
 	}
 

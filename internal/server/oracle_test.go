@@ -24,7 +24,7 @@ func wireBag(resp Response) string {
 // TestConcurrentSessionsMatchSerial is the wire-level concurrency
 // oracle: a seeded query set is first run through one session
 // serially, then through N concurrent sessions — with the sessions
-// deliberately diverging on SET PARALLELISM / SET VECTORIZED — and
+// deliberately diverging on SET PARALLELISM / SET SLOW_QUERY_MS — and
 // every concurrent result must be bag-equal to the serial one. Run
 // under -race this covers the full stack: wire decode, admission,
 // per-session engines, the shared catalog, and response encoding.
@@ -41,7 +41,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 		queries[i] = gen.Query()
 	}
 
-	// Serial reference: one session, parallelism 1, default executor.
+	// Serial reference: one session, parallelism 1.
 	ref := dialPipe(t, srv)
 	ref.mustRows("set parallelism 1")
 	want := make([]string, len(queries))
@@ -67,7 +67,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 			// Sessions diverge on their knobs; the results must not.
 			c.mustRows(fmt.Sprintf("set parallelism %d", 1+w%4))
 			if w%2 == 1 {
-				c.mustRows("set vectorized off")
+				c.mustRows("set slow_query_ms 1")
 			}
 			for k := 0; k < len(queries); k++ {
 				i := (k + w) % len(queries)

@@ -1,9 +1,9 @@
 // Package server promotes the gsql engine into a long-running
 // multi-session network frontend. Many concurrent sessions share one
 // catalog (relations, graph, materialisation, gL cache); each session
-// owns a private gsql.Engine, so SET PARALLELISM / SET VECTORIZED /
-// SET SLOW_QUERY_MS and prepared statements are session-scoped and
-// die with the connection. Every request passes the admission
+// owns a private gsql.Engine, so SET PARALLELISM / SET SLOW_QUERY_MS
+// and prepared statements are session-scoped and die with the
+// connection. Every request passes the admission
 // Controller first, so overload degrades into typed "server busy"
 // rejections instead of goroutine pile-ups.
 //

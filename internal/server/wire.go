@@ -2,8 +2,8 @@
 // production, net.Pipe in tests). The client sends one Request object
 // per line; the server answers each with exactly one Response line, in
 // order. The connection is a session: per-session state (SET
-// PARALLELISM, SET VECTORIZED, SET SLOW_QUERY_MS, prepared
-// statements) lives exactly as long as the connection.
+// PARALLELISM, SET SLOW_QUERY_MS, prepared statements) lives exactly
+// as long as the connection.
 //
 //	→ {"id":1,"op":"query","query":"select pid from product limit 2"}
 //	← {"id":1,"ok":true,"columns":["pid"],"rows":[["fd0"],["fd1"]],"rows_total":2,"elapsed_ms":0.21}
