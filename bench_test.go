@@ -287,7 +287,7 @@ func BenchmarkPipelineVsMaterialize(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sm, err := rel.NaturalJoin(s, base.MatchRel)
+			sm, err := rel.NaturalJoin(s, base.Extractor.MatchRelation())
 			if err != nil {
 				b.Fatal(err)
 			}

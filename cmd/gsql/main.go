@@ -243,7 +243,7 @@ func printTables(env *expr.QueryEnv) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		r := env.Cat.Relations[n]
+		r := env.Cat.Relation(n)
 		fmt.Printf("  %s (%d rows)", r.Schema, r.Len())
 		if b := matBase(env, n); b != nil {
 			fmt.Printf("  AR=%v", b.AR())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -127,13 +128,14 @@ type DurableBoot struct {
 // ApplyRelationUpdate / UpdateKeywords is logged (and fsynced per
 // policy) BEFORE it is applied in memory, so an acknowledged update
 // survives a crash; recovery loads the latest snapshot and replays the
-// log suffix. Each store is a self-contained durability domain: its
-// snapshot includes its own copy of the graph, so recovery never
-// depends on (or repairs) state shared with other bases.
+// log suffix through the same apply the live path uses. Each store is
+// a self-contained durability domain: its snapshot includes its own
+// copy of the graph, so recovery never depends on (or repairs) state
+// shared with other bases.
 //
-// Reads and updates are coordinated by an RWMutex: View (or
-// RLock/RUnlock) for query execution, exclusive internally for the
-// update streams.
+// Reads and updates are coordinated by an RWMutex: View (or the set's
+// RLockAll) for query execution, exclusive internally for the update
+// streams.
 type DurableStore struct {
 	mu   sync.RWMutex
 	dir  string
@@ -280,19 +282,28 @@ func (s *DurableStore) loadLatestSnapshot() (uint64, error) {
 	return seq, nil
 }
 
+// snapshotVersion is the layout encodeSnapshot writes and the only one
+// decodeSnapshot reads. Version 1 carried a second match section
+// (build-time f(D,G) beside the current one); no snapshot outlives the
+// process that wrote it anywhere this repo runs, so it has no reader.
+const snapshotVersion = 2
+
+// ErrSnapshotVersion reports a snapshot in a layout this build does not
+// read.
+var ErrSnapshotVersion = errors.New("unsupported snapshot version")
+
 // encodeSnapshot serialises the full store state: the covered seq, the
 // graph (exact structural fidelity), the current reference relation D,
-// the base materialisation (AR, build-time f(D,G), current h(D,G),
-// scheme), the CURRENT match state (which drifts from the build-time
-// match relation under updates), and the refined pattern clusters
-// (which UpdateKeywords re-ranks and which no other codec persists).
+// the base materialisation (AR, current f(D,G), current h(D,G),
+// scheme), and the refined pattern clusters (which UpdateKeywords
+// re-ranks and which no other codec persists).
 func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
 	ex := s.base.Extractor
 	if ex == nil || ex.s == nil || ex.scheme == nil || ex.result == nil {
 		return fmt.Errorf("core: snapshot requires a completed RExt run")
 	}
 	w := bin.NewWriter(buf)
-	w.Header("snapshot", 1)
+	w.Header("snapshot", snapshotVersion)
 	w.U64(seq)
 	if err := w.Err(); err != nil {
 		return err
@@ -304,9 +315,6 @@ func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
 		return err
 	}
 	if err := SaveBase(buf, s.base); err != nil {
-		return err
-	}
-	if err := matchRelation(ex.s, ex.matches).Save(buf); err != nil {
 		return err
 	}
 	w.Int(ex.totalPaths)
@@ -336,8 +344,8 @@ func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
 func (s *DurableStore) decodeSnapshot(data []byte) (uint64, error) {
 	in := bytes.NewReader(data)
 	r := bin.NewReader(in)
-	if v := r.Header("snapshot"); r.Err() == nil && v != 1 {
-		return 0, fmt.Errorf("unsupported snapshot version %d", v)
+	if v := r.Header("snapshot"); r.Err() == nil && v != snapshotVersion {
+		return 0, fmt.Errorf("%w %d", ErrSnapshotVersion, v)
 	}
 	seq := r.U64()
 	if err := r.Err(); err != nil {
@@ -355,19 +363,7 @@ func (s *DurableStore) decodeSnapshot(data []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("base section: %w", err)
 	}
-	curMatches, err := rel.LoadRelation(in)
-	if err != nil {
-		return 0, fmt.Errorf("match section: %w", err)
-	}
 	ex := base.Extractor
-	matches := matchesFromRelation(d, curMatches)
-	ex.matches = matches
-	ex.vertexTuple = make(map[graph.VertexID]int, len(matches))
-	for _, m := range matches {
-		if _, ok := ex.vertexTuple[m.Vertex]; !ok {
-			ex.vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
 	ex.totalPaths = r.Int()
 	nc := r.Len()
 	clusters := make([]*scoredCluster, 0, min(nc, 1<<20))
@@ -413,7 +409,7 @@ func (s *DurableStore) replay(ctx context.Context, snapSeq uint64) error {
 			return fmt.Errorf("core: replay gap: snapshot covers seq %d but next log record is %d", snapSeq, rec.Seq)
 		}
 		expected++
-		if err := s.applyRecord(ctx, rec); err != nil {
+		if _, err := s.apply(ctx, rec); err != nil {
 			s.replaySkipped++
 		}
 		s.replayed.Inc()
@@ -421,40 +417,59 @@ func (s *DurableStore) replay(ctx context.Context, snapSeq uint64) error {
 	return nil
 }
 
-// applyRecord decodes and applies one logged update. Decode failures
-// are impossible for records the store wrote (CRC-verified), so they
-// surface as skip-with-count like apply failures do.
-func (s *DurableStore) applyRecord(ctx context.Context, rec wal.Record) error {
+// apply decodes one logged update and applies it to the in-memory
+// state. The live path calls it on the record it has just appended and
+// replay on every record past the snapshot, so the two cannot drift;
+// it is also the one place the materialisation's published views are
+// rebound to the extractor's state. Decode failures are impossible for
+// records the store wrote (CRC-verified) and surface like apply
+// failures do.
+func (s *DurableStore) apply(ctx context.Context, rec wal.Record) (IncStats, error) {
+	ex := s.base.Extractor
+	var st IncStats
+	var err error
 	switch rec.Type {
 	case RecGraphUpdate:
-		delta, err := DecodeGraphUpdate(rec.Payload)
-		if err != nil {
-			return err
+		var delta graph.Batch
+		if delta, err = DecodeGraphUpdate(rec.Payload); err == nil {
+			st, err = ex.ApplyGraphUpdateContext(ctx, delta, s.matcher)
 		}
-		_, err = s.base.Extractor.ApplyGraphUpdateContext(ctx, delta, s.matcher)
-		return err
 	case RecRelationUpdate:
-		d, err := DecodeRelationUpdate(rec.Payload)
-		if err != nil {
-			return err
+		var d *rel.Relation
+		if d, err = DecodeRelationUpdate(rec.Payload); err == nil {
+			st, err = ex.ApplyRelationUpdateContext(ctx, d, s.matcher)
 		}
-		_, err = s.base.Extractor.ApplyRelationUpdateContext(ctx, d, s.matcher)
-		if err == nil {
-			s.base.Spec.D = d
-		}
-		return err
 	case RecKeywordUpdate:
-		kws, err := DecodeKeywordUpdate(rec.Payload)
-		if err != nil {
-			return err
+		var kws []string
+		if kws, err = DecodeKeywordUpdate(rec.Payload); err == nil {
+			_, err = ex.UpdateKeywordsContext(ctx, kws)
 		}
-		out, err := s.base.Extractor.UpdateKeywordsContext(ctx, kws)
-		if err == nil {
-			s.base.Extracted = out
-		}
-		return err
+	default:
+		err = fmt.Errorf("core: unknown WAL record type %d", rec.Type)
 	}
-	return fmt.Errorf("core: unknown WAL record type %d", rec.Type)
+	s.base.Spec.D, s.base.Extracted = ex.s, ex.result
+	return st, err
+}
+
+// logThenApply is the write path of every update stream: the encoded
+// update is appended to the log (fsynced per policy), then applied. A
+// logging failure returns before any state changes; an apply failure
+// leaves the record in the log, where replay reproduces the same
+// deterministic no-op. It returns what the step did and h(D,G) as the
+// step left it.
+func (s *DurableStore) logThenApply(ctx context.Context, typ byte, payload []byte, encErr error) (IncStats, *rel.Relation, error) {
+	if encErr != nil {
+		return IncStats{}, nil, encErr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seq, err := s.log.Append(typ, payload)
+	if err != nil {
+		return IncStats{}, nil, err
+	}
+	st, err := s.apply(ctx, wal.Record{Seq: seq, Type: typ, Payload: payload})
+	s.afterUpdateLocked(ctx)
+	return st, s.base.Extracted, err
 }
 
 // ApplyGraphUpdate logs then applies a ΔG batch.
@@ -462,22 +477,10 @@ func (s *DurableStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 	return s.ApplyGraphUpdateContext(context.Background(), delta)
 }
 
-// ApplyGraphUpdateContext logs the batch (fsync per policy), then
-// applies it via IncExt. A logging failure returns before any state
-// changes; an apply failure leaves the record in the log, where replay
-// reproduces the same deterministic no-op.
+// ApplyGraphUpdateContext is ApplyGraphUpdate with tracing.
 func (s *DurableStore) ApplyGraphUpdateContext(ctx context.Context, delta graph.Batch) (IncStats, error) {
 	payload, err := EncodeGraphUpdate(delta)
-	if err != nil {
-		return IncStats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.log.Append(RecGraphUpdate, payload); err != nil {
-		return IncStats{}, err
-	}
-	st, err := s.base.Extractor.ApplyGraphUpdateContext(ctx, delta, s.matcher)
-	s.afterUpdateLocked(ctx)
+	st, _, err := s.logThenApply(ctx, RecGraphUpdate, payload, err)
 	return st, err
 }
 
@@ -489,23 +492,12 @@ func (s *DurableStore) ApplyRelationUpdate(d *rel.Relation) (IncStats, error) {
 // ApplyRelationUpdateContext is ApplyRelationUpdate with tracing.
 func (s *DurableStore) ApplyRelationUpdateContext(ctx context.Context, d *rel.Relation) (IncStats, error) {
 	payload, err := EncodeRelationUpdate(d)
-	if err != nil {
-		return IncStats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.log.Append(RecRelationUpdate, payload); err != nil {
-		return IncStats{}, err
-	}
-	st, err := s.base.Extractor.ApplyRelationUpdateContext(ctx, d, s.matcher)
-	if err == nil {
-		s.base.Spec.D = d
-	}
-	s.afterUpdateLocked(ctx)
+	st, _, err := s.logThenApply(ctx, RecRelationUpdate, payload, err)
 	return st, err
 }
 
-// UpdateKeywords logs then applies an interest-set change.
+// UpdateKeywords logs then applies an interest-set change, returning
+// the re-extracted h(D,G).
 func (s *DurableStore) UpdateKeywords(keywords []string) (*rel.Relation, error) {
 	return s.UpdateKeywordsContext(context.Background(), keywords)
 }
@@ -513,22 +505,11 @@ func (s *DurableStore) UpdateKeywords(keywords []string) (*rel.Relation, error) 
 // UpdateKeywordsContext is UpdateKeywords with tracing.
 func (s *DurableStore) UpdateKeywordsContext(ctx context.Context, keywords []string) (*rel.Relation, error) {
 	payload, err := EncodeKeywordUpdate(keywords)
+	_, out, err := s.logThenApply(ctx, RecKeywordUpdate, payload, err)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.log.Append(RecKeywordUpdate, payload); err != nil {
-		return nil, err
-	}
-	out, err := s.base.Extractor.UpdateKeywordsContext(ctx, keywords)
-	if err == nil {
-		// The extractor swapped in a fresh result relation; keep the
-		// materialisation's view in step.
-		s.base.Extracted = out
-	}
-	s.afterUpdateLocked(ctx)
-	return out, err
+	return out, nil
 }
 
 // afterUpdateLocked handles auto-checkpointing. Held under s.mu.
@@ -628,22 +609,12 @@ func (s *DurableStore) View(fn func(b *BaseMaterialization) error) error {
 	return fn(s.base)
 }
 
-// RLock acquires the store's read lock for callers whose read spans
-// multiple calls (the server holds it across query execution).
-func (s *DurableStore) RLock() { s.mu.RLock() } //lint:allow lockorder lock-ownership transfer: the paired RUnlock is the caller's obligation
-
-// RUnlock releases RLock.
-func (s *DurableStore) RUnlock() { s.mu.RUnlock() }
-
 // Base returns the wrapped materialisation. Callers must hold the
-// read lock (View/RLock) when updates may run concurrently.
+// read lock (View/RLockAll) when updates may run concurrently.
 func (s *DurableStore) Base() *BaseMaterialization { return s.base }
 
 // Graph returns the store's graph (same locking caveat as Base).
 func (s *DurableStore) Graph() *graph.Graph { return s.g }
-
-// Matcher returns the HER matcher updates and replay run with.
-func (s *DurableStore) Matcher() her.Matcher { return s.matcher }
 
 // Dir returns the durable directory.
 func (s *DurableStore) Dir() string { return s.dir }

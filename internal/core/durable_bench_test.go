@@ -39,24 +39,20 @@ func BenchmarkDurableGraphUpdate(b *testing.B) {
 // one locked read of the extracted relation.
 func BenchmarkDurableMixedRead(b *testing.B) {
 	w, base := durableWorld(b)
-	st, err := OpenDurable(context.Background(), b.TempDir(), durableBoot(w, base),
+	ctx, stopWriter := context.WithCancel(context.Background())
+	defer stopWriter()
+	st, err := OpenDurable(ctx, b.TempDir(), durableBoot(w, base),
 		DurableOptions{Policy: wal.SyncBatch, FS: wal.OSFS{}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
 
-	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	var writes atomic.Int64
 	go func() {
 		defer close(writerDone)
-		for i := 0; ; i++ { //lint:allow ctxloop benchmark writer is bounded by the stop channel, not a context
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; ctx.Err() == nil; i++ {
 			delta := graph.RandomMixedBatch(st.Graph(), mat.NewRNG(uint64(5000+i)), 2)
 			if _, err := st.ApplyGraphUpdate(delta); err != nil {
 				b.Error(err)
@@ -82,7 +78,7 @@ func BenchmarkDurableMixedRead(b *testing.B) {
 		_ = rows
 	})
 	b.StopTimer()
-	close(stop)
+	stopWriter()
 	<-writerDone
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 	b.ReportMetric(float64(writes.Load())/b.Elapsed().Seconds(), "writes/s")

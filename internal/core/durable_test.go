@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 
+	"semjoin/internal/bin"
 	"semjoin/internal/graph"
 	"semjoin/internal/mat"
 	"semjoin/internal/rel"
@@ -43,9 +48,8 @@ type applier interface {
 	UpdateKeywords(keywords []string) (*rel.Relation, error)
 }
 
-// memStore drives a plain BaseMaterialization through the same update
-// surface, mirroring the bookkeeping DurableStore does around the
-// extractor calls.
+// memStore drives a plain BaseMaterialization's extractor through the
+// same update surface: the control a durable store is compared with.
 type memStore struct{ b *BaseMaterialization }
 
 func (m *memStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
@@ -53,19 +57,11 @@ func (m *memStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 }
 
 func (m *memStore) ApplyRelationUpdate(d *rel.Relation) (IncStats, error) {
-	st, err := m.b.Extractor.ApplyRelationUpdate(d, m.b.Spec.Matcher)
-	if err == nil {
-		m.b.Spec.D = d
-	}
-	return st, err
+	return m.b.Extractor.ApplyRelationUpdate(d, m.b.Spec.Matcher)
 }
 
 func (m *memStore) UpdateKeywords(keywords []string) (*rel.Relation, error) {
-	out, err := m.b.Extractor.UpdateKeywords(keywords)
-	if err == nil {
-		m.b.Extracted = out
-	}
-	return out, err
+	return m.b.Extractor.UpdateKeywords(keywords)
 }
 
 // applyScriptStep applies deterministic update step i to st. The same
@@ -110,24 +106,24 @@ func graphBytes(t *testing.T, g *graph.Graph) []byte {
 // assertSameState checks every state surface recovery must preserve:
 // graph structure (byte-exact, so future updates replay identically),
 // the extracted relation, the current reference relation D, and the
-// current HER match state.
+// current HER match state. got is a store's materialisation, whose
+// published Spec.D/Extracted must follow its extractor; want is judged
+// by its extractor alone (a memStore control publishes nothing).
 func assertSameState(t *testing.T, tag string, got, want *BaseMaterialization, gGot, gWant *graph.Graph) {
 	t.Helper()
 	if !bytes.Equal(graphBytes(t, gGot), graphBytes(t, gWant)) {
 		t.Fatalf("%s: graphs diverge", tag)
 	}
-	if !sameRelation(got.Extracted, want.Extracted) {
+	if got.Extracted != got.Extractor.Result() || got.Spec.D != got.Extractor.s {
+		t.Fatalf("%s: published Spec.D/Extracted are not the extractor's current state", tag)
+	}
+	if !sameRelation(got.Extracted, want.Extractor.Result()) {
 		t.Fatalf("%s: extracted relations diverge", tag)
 	}
-	if !sameRelation(got.Extractor.Result(), want.Extractor.Result()) {
-		t.Fatalf("%s: extractor results diverge", tag)
-	}
-	if !sameRelation(got.Spec.D, want.Spec.D) {
+	if !sameRelation(got.Spec.D, want.Extractor.s) {
 		t.Fatalf("%s: reference relations diverge", tag)
 	}
-	gm := matchRelation(got.Extractor.s, got.Extractor.matches)
-	wm := matchRelation(want.Extractor.s, want.Extractor.matches)
-	if !sameRelation(gm, wm) {
+	if !sameRelation(got.Extractor.MatchRelation(), want.Extractor.MatchRelation()) {
 		t.Fatalf("%s: match states diverge", tag)
 	}
 }
@@ -484,6 +480,80 @@ func TestDurableCorruptSnapshotFailsOpen(t *testing.T) {
 		DurableBoot{Models: w1.models, Cfg: Config{K: 3, H: 12, Seed: 3}, Matcher: b1.Spec.Matcher},
 		DurableOptions{FS: fs}); err == nil {
 		t.Fatal("OpenDurable accepted a corrupt snapshot")
+	}
+}
+
+// TestDurableCheckpointRestoresMatchState shuts a store down right
+// after a checkpoint, so the reopen is served by the snapshot alone:
+// the single match section must bring back f(D,G) — drifted from the
+// build-time matches by ΔG and ΔD steps — and the tid index derived
+// from it exactly as they were.
+func TestDurableCheckpointRestoresMatchState(t *testing.T) {
+	ctx := context.Background()
+	fs := wal.NewMemFS()
+	w1, b1 := durableWorld(t)
+	built := b1.Extractor.MatchRelation()
+	st, err := OpenDurable(ctx, "db", durableBoot(w1, b1), DurableOptions{Policy: wal.SyncAlways, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySteps(t, st, st.Graph(), w1.products, 0, 7)
+	before := st.Base().Extractor
+	if sameRelation(before.MatchRelation(), built) {
+		t.Fatal("the script left f(D,G) at its build-time value; the test would prove nothing")
+	}
+	if err := st.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenDurable(ctx, "db",
+		DurableBoot{Models: w1.models, Cfg: Config{K: 3, H: 12, Seed: 3}, Matcher: b1.Spec.Matcher},
+		DurableOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.WALInfo().Records != 0 {
+		t.Fatalf("reopen replayed %d records; the snapshot alone should serve it", st2.WALInfo().Records)
+	}
+	after := st2.Base().Extractor
+	if !sameRelation(after.MatchRelation(), before.MatchRelation()) {
+		t.Fatalf("match relation changed across checkpoint+reopen:\n%v\nvs\n%v", after.MatchRelation(), before.MatchRelation())
+	}
+	if !reflect.DeepEqual(after.tidMatch, before.tidMatch) {
+		t.Fatalf("tid index changed across checkpoint+reopen:\n%v\nvs\n%v", after.tidMatch, before.tidMatch)
+	}
+	if !reflect.DeepEqual(after.vertexTuple, before.vertexTuple) {
+		t.Fatalf("vertex index changed across checkpoint+reopen:\n%v\nvs\n%v", after.vertexTuple, before.vertexTuple)
+	}
+}
+
+// TestDurableRejectsV1Snapshot: a snapshot in the two-match-section
+// layout is refused by version, with an error callers can test for.
+func TestDurableRejectsV1Snapshot(t *testing.T) {
+	var buf bytes.Buffer
+	w := bin.NewWriter(&buf)
+	w.Header("snapshot", 1)
+	w.U64(3)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(crc[:])
+	fs := wal.NewMemFS()
+	if err := fs.MkdirAll("db"); err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile("db/"+snapName(3), buf.Bytes())
+
+	w1, b1 := durableWorld(t)
+	_, err := OpenDurable(context.Background(), "db", durableBoot(w1, b1), DurableOptions{FS: fs})
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("OpenDurable over a v1 snapshot: %v, want ErrSnapshotVersion", err)
 	}
 }
 

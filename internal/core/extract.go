@@ -44,7 +44,7 @@ func (e *Extractor) Extract() (*rel.Relation, error) {
 		rows[i] = e.extractTuple(order[i])
 	})
 	dg.Tuples = rows
-	e.result = dg
+	e.install(e.s, e.matches, dg)
 	return dg, nil
 }
 
@@ -107,15 +107,8 @@ func (e *Extractor) pathsFor(v graph.VertexID) []graph.Path {
 // scheme — e.g. one computed on an earlier graph version or shipped with a
 // catalog — skipping pattern discovery entirely.
 func (e *Extractor) ExtractWithScheme(s *rel.Relation, scheme *Scheme, matches []her.Match) (*rel.Relation, error) {
-	e.s = s
 	e.scheme = scheme
-	e.matches = matches
-	e.vertexTuple = make(map[graph.VertexID]int, len(matches))
-	for _, m := range matches {
-		if _, ok := e.vertexTuple[m.Vertex]; !ok {
-			e.vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
+	e.install(s, matches, nil)
 	return e.Extract()
 }
 

@@ -7,20 +7,16 @@ import (
 	"sync"
 	"testing"
 
+	"semjoin/internal/graph"
 	"semjoin/internal/obs"
-	"semjoin/internal/rel"
 )
 
-func glTestRel(n int) *rel.Relation {
-	schema := rel.NewSchema("gl", "",
-		rel.Attribute{Name: "vid1", Type: rel.KindInt},
-		rel.Attribute{Name: "vid2", Type: rel.KindInt},
-	)
-	r := rel.NewRelation(schema)
+func glTestRel(n int) glPairs {
+	pairs := glPairs{}
 	for i := 0; i < n; i++ {
-		r.InsertVals(rel.I(int64(i)), rel.I(int64(i+1)))
+		pairs[[2]graph.VertexID{graph.VertexID(i), graph.VertexID(i + 1)}] = true
 	}
-	return r
+	return pairs
 }
 
 func TestGLCacheLRUEviction(t *testing.T) {
@@ -31,7 +27,7 @@ func TestGLCacheLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	computes := 0
 	get := func(key string) {
-		_, _, err := c.getOrCompute(ctx, key, func() (*rel.Relation, error) {
+		_, _, err := c.getOrCompute(ctx, key, glStamp{}, func() (glPairs, error) {
 			computes++
 			return glTestRel(2), nil
 		})
@@ -57,7 +53,7 @@ func TestGLCacheLRUEviction(t *testing.T) {
 	c2 := newGLCacheCap(32)
 	gets := 0
 	hot := func() {
-		_, hit, err := c2.getOrCompute(ctx, "hot", func() (*rel.Relation, error) {
+		_, hit, err := c2.getOrCompute(ctx, "hot", glStamp{}, func() (glPairs, error) {
 			gets++
 			return glTestRel(1), nil
 		})
@@ -73,7 +69,7 @@ func TestGLCacheLRUEviction(t *testing.T) {
 		// refresh below must keep rescuing it.
 		key := fmt.Sprintf("cold-%d", i)
 		if c2.shard(key) == sh {
-			_, _, _ = c2.getOrCompute(ctx, key, func() (*rel.Relation, error) {
+			_, _, _ = c2.getOrCompute(ctx, key, glStamp{}, func() (glPairs, error) {
 				return glTestRel(1), nil
 			})
 		}
@@ -88,11 +84,11 @@ func TestGLCacheObsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithRegistry(context.Background(), reg)
 	c := newGLCacheCap(0) // unbounded: no evictions in this test
-	compute := func() (*rel.Relation, error) { return glTestRel(3), nil }
-	if _, hit, _ := c.getOrCompute(ctx, "a", compute); hit {
+	compute := func() (glPairs, error) { return glTestRel(3), nil }
+	if _, hit, _ := c.getOrCompute(ctx, "a", glStamp{}, compute); hit {
 		t.Fatal("first get should miss")
 	}
-	if _, hit, _ := c.getOrCompute(ctx, "a", compute); !hit {
+	if _, hit, _ := c.getOrCompute(ctx, "a", glStamp{}, compute); !hit {
 		t.Fatal("second get should hit")
 	}
 	vals := reg.CounterValues()
@@ -117,7 +113,7 @@ func TestGLCacheSingleflightCoalesce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = c.getOrCompute(ctx, "k", func() (*rel.Relation, error) {
+		_, _, _ = c.getOrCompute(ctx, "k", glStamp{}, func() (glPairs, error) {
 			close(started)
 			<-release
 			return glTestRel(1), nil
@@ -127,7 +123,7 @@ func TestGLCacheSingleflightCoalesce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, hit, _ := c.getOrCompute(ctx, "k", func() (*rel.Relation, error) {
+		_, hit, _ := c.getOrCompute(ctx, "k", glStamp{}, func() (glPairs, error) {
 			t.Error("coalesced caller must not recompute")
 			return nil, nil
 		})
@@ -153,11 +149,11 @@ func TestGLCacheErrorNotCached(t *testing.T) {
 	c := newGLCacheCap(16)
 	ctx := context.Background()
 	calls := 0
-	fail := func() (*rel.Relation, error) { calls++; return nil, fmt.Errorf("boom") }
-	if _, _, err := c.getOrCompute(ctx, "e", fail); err == nil {
+	fail := func() (glPairs, error) { calls++; return nil, fmt.Errorf("boom") }
+	if _, _, err := c.getOrCompute(ctx, "e", glStamp{}, fail); err == nil {
 		t.Fatal("want error")
 	}
-	if _, _, err := c.getOrCompute(ctx, "e", fail); err == nil {
+	if _, _, err := c.getOrCompute(ctx, "e", glStamp{}, fail); err == nil {
 		t.Fatal("want error on retry")
 	}
 	if calls != 2 {
@@ -168,19 +164,75 @@ func TestGLCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestGLCacheSetCapShrinks(t *testing.T) {
+// TestGLCacheStaleStampIsMiss pins the freshness rule: an entry
+// computed at another stamp is a miss, the key's entry is replaced by
+// the new computation, and a caller already waiting on the old
+// in-flight computation still receives that computation's result.
+func TestGLCacheStaleStampIsMiss(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx := obs.WithRegistry(context.Background(), reg)
 	c := newGLCacheCap(0)
-	ctx := context.Background()
-	for i := 0; i < 64; i++ {
-		_, _, _ = c.getOrCompute(ctx, fmt.Sprintf("k%d", i), func() (*rel.Relation, error) {
-			return glTestRel(1), nil
+	old, cur := glStamp{graph: 1, base1: 7, base2: 7}, glStamp{graph: 2, base1: 7, base2: 7}
+	noCompute := func() (glPairs, error) {
+		t.Error("a current entry must be served, not recomputed")
+		return nil, nil
+	}
+
+	if _, hit, _ := c.getOrCompute(ctx, "k", old, func() (glPairs, error) { return glTestRel(3), nil }); hit {
+		t.Fatal("first get should miss")
+	}
+	pairs, hit, err := c.getOrCompute(ctx, "k", cur, func() (glPairs, error) { return glTestRel(1), nil })
+	if err != nil || hit || len(pairs) != 1 {
+		t.Fatalf("entry from an older stamp: hit=%v pairs=%d err=%v, want a miss recomputed to 1 pair", hit, len(pairs), err)
+	}
+	if pairs, hit, _ := c.getOrCompute(ctx, "k", cur, noCompute); !hit || len(pairs) != 1 {
+		t.Fatalf("replacement entry: hit=%v pairs=%d, want hit with 1 pair", hit, len(pairs))
+	}
+	if n, tuples := c.stats(); n != 1 || tuples != 1 {
+		t.Fatalf("stats = %d sets / %d pairs, want the replacement only (1/1)", n, tuples)
+	}
+	if got := c.resident.Load(); got != 1 {
+		t.Fatalf("resident gauge = %d, want 1", got)
+	}
+
+	// A computation at stamp `cur` is in flight with one waiter when the
+	// state moves on to `next`: the waiter keeps the old result, the new
+	// caller computes its own, and only the new one stays resident.
+	next := glStamp{graph: 3, base1: 7, base2: 7}
+	c.clear()
+	started, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, _, _ = c.getOrCompute(ctx, "k", cur, func() (glPairs, error) {
+			close(started)
+			<-release
+			return glTestRel(5), nil
 		})
+	}()
+	<-started
+	coalesced := reg.CounterValues()["core_gl_coalesces_total"]
+	go func() {
+		defer wg.Done()
+		pairs, hit, err := c.getOrCompute(ctx, "k", cur, noCompute)
+		if err != nil || !hit || len(pairs) != 5 {
+			t.Errorf("waiter on the replaced computation: hit=%v pairs=%d err=%v, want its 5 pairs", hit, len(pairs), err)
+		}
+	}()
+	for reg.CounterValues()["core_gl_coalesces_total"] == coalesced {
+		runtime.Gosched()
 	}
-	if n, _ := c.stats(); n != 64 {
-		t.Fatalf("resident = %d, want 64", n)
+	pairs, hit, err = c.getOrCompute(ctx, "k", next, func() (glPairs, error) { return glTestRel(2), nil })
+	if err != nil || hit || len(pairs) != 2 {
+		t.Fatalf("newer stamp over an in-flight entry: hit=%v pairs=%d err=%v, want a miss with 2 pairs", hit, len(pairs), err)
 	}
-	c.setCap(16)
-	if n, _ := c.stats(); n > 16 {
-		t.Fatalf("resident after shrink = %d, want <= 16", n)
+	close(release)
+	wg.Wait()
+	if n, tuples := c.stats(); n != 1 || tuples != 2 {
+		t.Fatalf("stats = %d sets / %d pairs, want the newest only (1/2)", n, tuples)
+	}
+	if got := c.resident.Load(); got != 1 {
+		t.Fatalf("resident gauge = %d, want 1", got)
 	}
 }

@@ -44,15 +44,22 @@ func (e *Extractor) ApplyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 func (e *Extractor) ApplyGraphUpdateContext(ctx context.Context, delta graph.Batch, matcher her.Matcher) (IncStats, error) {
 	start := time.Now()
 	st, err := e.applyGraphUpdate(delta, matcher)
-	obs.TraceFromContext(ctx).Phase("incext_apply_graph", start)
-	if err != nil {
-		obs.LoggerFromContext(ctx).Warn("incext graph update failed", "err", err.Error())
-	} else {
-		obs.LoggerFromContext(ctx).Debug("incext graph update",
-			"touched", st.Touched, "affected", st.Affected, "removed", st.Removed,
-			"duration_ms", float64(time.Since(start))/float64(time.Millisecond))
-	}
+	observeUpdate(ctx, "graph", "incext_apply_graph", start, err,
+		"touched", st.Touched, "affected", st.Affected, "removed", st.Removed)
 	return st, err
+}
+
+// observeUpdate reports one IncExt step: a phase on the ctx trace, and
+// on the ctx logger a Warn with the error or a Debug with what the step
+// did (fields) and how long it took.
+func observeUpdate(ctx context.Context, kind, phase string, start time.Time, err error, fields ...any) {
+	obs.TraceFromContext(ctx).Phase(phase, start)
+	if err != nil {
+		obs.LoggerFromContext(ctx).Warn("incext "+kind+" update failed", "err", err.Error())
+		return
+	}
+	obs.LoggerFromContext(ctx).Debug("incext "+kind+" update", append(fields,
+		"duration_ms", float64(time.Since(start))/float64(time.Millisecond))...)
 }
 
 func (e *Extractor) applyGraphUpdate(delta graph.Batch, matcher her.Matcher) (IncStats, error) {
@@ -61,25 +68,14 @@ func (e *Extractor) applyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 	}
 	touched := delta.Apply(e.g)
 
-	oldMatched := make(map[graph.VertexID]bool, len(e.vertexTuple))
-	for v := range e.vertexTuple {
-		oldMatched[v] = true
-	}
-
 	// Recompute the HER match relation on the updated graph.
 	newMatches := matcher.Match(e.s, e.g)
-	e.matches = newMatches
-	e.vertexTuple = make(map[graph.VertexID]int, len(newMatches))
-	for _, m := range newMatches {
-		if _, ok := e.vertexTuple[m.Vertex]; !ok {
-			e.vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
+	matched := matchedVertices(newMatches)
 
 	// V∆ step (a): vertices matched now but not before.
 	affected := map[graph.VertexID]bool{}
-	for v := range e.vertexTuple {
-		if !oldMatched[v] {
+	for v := range matched {
+		if _, was := e.vertexTuple[v]; !was {
 			affected[v] = true
 		}
 	}
@@ -87,10 +83,7 @@ func (e *Extractor) applyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 	// are still matched (ones no longer matched just lose their DG row).
 	reach := e.g.KHopNeighborhood(touched, e.cfg.K)
 	for v := range reach {
-		if !oldMatched[v] {
-			continue
-		}
-		if _, stillMatched := e.vertexTuple[v]; stillMatched {
+		if _, was := e.vertexTuple[v]; was && matched[v] {
 			affected[v] = true
 		}
 	}
@@ -131,7 +124,7 @@ func (e *Extractor) applyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 		if affected[v] {
 			continue // replaced below
 		}
-		if _, ok := e.vertexTuple[v]; (!ok || !e.g.Live(v)) && !e.skipDeleteMaintenance {
+		if (!matched[v] || !e.g.Live(v)) && !e.skipDeleteMaintenance {
 			removed++
 			continue
 		}
@@ -139,6 +132,7 @@ func (e *Extractor) applyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 	}
 	newRows = append(newRows, rows...)
 	e.result.Tuples = newRows
+	e.install(e.s, newMatches, e.result)
 
 	return IncStats{Touched: len(touched), Affected: len(order), Removed: removed}, nil
 }
@@ -164,14 +158,8 @@ func (e *Extractor) ApplyRelationUpdate(newS *rel.Relation, matcher her.Matcher)
 func (e *Extractor) ApplyRelationUpdateContext(ctx context.Context, newS *rel.Relation, matcher her.Matcher) (IncStats, error) {
 	start := time.Now()
 	st, err := e.applyRelationUpdate(newS, matcher)
-	obs.TraceFromContext(ctx).Phase("incext_apply_relation", start)
-	if err != nil {
-		obs.LoggerFromContext(ctx).Warn("incext relation update failed", "err", err.Error())
-	} else {
-		obs.LoggerFromContext(ctx).Debug("incext relation update",
-			"affected", st.Affected, "removed", st.Removed,
-			"duration_ms", float64(time.Since(start))/float64(time.Millisecond))
-	}
+	observeUpdate(ctx, "relation", "incext_apply_relation", start, err,
+		"affected", st.Affected, "removed", st.Removed)
 	return st, err
 }
 
@@ -185,26 +173,17 @@ func (e *Extractor) applyRelationUpdate(newS *rel.Relation, matcher her.Matcher)
 	if matcher == nil {
 		return IncStats{}, fmt.Errorf("core: ApplyRelationUpdate: nil matcher")
 	}
-	oldMatched := make(map[graph.VertexID]bool, len(e.vertexTuple))
-	for v := range e.vertexTuple {
-		oldMatched[v] = true
-	}
 	newMatches := matcher.Match(newS, e.g)
 	for _, m := range newMatches {
 		if m.TupleIdx < 0 || m.TupleIdx >= newS.Len() {
 			return IncStats{}, fmt.Errorf("core: ApplyRelationUpdate: matcher returned tuple index %d outside [0,%d)", m.TupleIdx, newS.Len())
 		}
 	}
-	vertexTuple := make(map[graph.VertexID]int, len(newMatches))
-	for _, m := range newMatches {
-		if _, ok := vertexTuple[m.Vertex]; !ok {
-			vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
+	matched := matchedVertices(newMatches)
 
 	var fresh []graph.VertexID
-	for v := range vertexTuple {
-		if !oldMatched[v] && e.g.Live(v) {
+	for v := range matched {
+		if _, was := e.vertexTuple[v]; !was && e.g.Live(v) {
 			fresh = append(fresh, v)
 		}
 	}
@@ -218,7 +197,7 @@ func (e *Extractor) applyRelationUpdate(newS *rel.Relation, matcher her.Matcher)
 	removed := 0
 	for _, t := range e.result.Tuples {
 		v := graph.VertexID(t[vidCol].Int())
-		if _, ok := vertexTuple[v]; !ok || !e.g.Live(v) {
+		if !matched[v] || !e.g.Live(v) {
 			removed++
 			continue
 		}
@@ -227,10 +206,8 @@ func (e *Extractor) applyRelationUpdate(newS *rel.Relation, matcher her.Matcher)
 	newRows = append(newRows, rows...)
 
 	// Commit point: nothing below can fail.
-	e.s = newS
-	e.matches = newMatches
-	e.vertexTuple = vertexTuple
 	e.result.Tuples = newRows
+	e.install(newS, newMatches, e.result)
 	return IncStats{Affected: len(fresh), Removed: removed}, nil
 }
 
@@ -252,14 +229,8 @@ func (e *Extractor) UpdateKeywords(keywords []string) (*rel.Relation, error) {
 func (e *Extractor) UpdateKeywordsContext(ctx context.Context, keywords []string) (*rel.Relation, error) {
 	start := time.Now()
 	out, err := e.updateKeywords(keywords)
-	obs.TraceFromContext(ctx).Phase("incext_update_keywords", start)
-	if err != nil {
-		obs.LoggerFromContext(ctx).Warn("incext keyword update failed", "err", err.Error())
-	} else {
-		obs.LoggerFromContext(ctx).Debug("incext keyword update",
-			"keywords", strings.Join(keywords, ","),
-			"duration_ms", float64(time.Since(start))/float64(time.Millisecond))
-	}
+	observeUpdate(ctx, "keyword", "incext_update_keywords", start, err,
+		"keywords", strings.Join(keywords, ","))
 	return out, err
 }
 
@@ -319,7 +290,7 @@ func (e *Extractor) updateKeywords(keywords []string) (*rel.Relation, error) {
 
 	// Commit point: nothing below can fail.
 	e.scheme = newScheme
-	e.result = dg
+	e.install(e.s, e.matches, dg)
 	return dg, nil
 }
 
@@ -329,6 +300,16 @@ func (e *Extractor) updateKeywords(keywords []string) (*rel.Relation, error) {
 // bug the IncExt-vs-RExt oracle must catch and shrink to a minimal
 // counterexample. It has no place outside tests.
 func (e *Extractor) SetSkipDeleteMaintenance(on bool) { e.skipDeleteMaintenance = on }
+
+// matchedVertices is the set of vertices a match relation pairs with
+// some tuple.
+func matchedVertices(matches []her.Match) map[graph.VertexID]bool {
+	set := make(map[graph.VertexID]bool, len(matches))
+	for _, m := range matches {
+		set[m.Vertex] = true
+	}
+	return set
+}
 
 func samePatKeys(a, b map[string]bool) bool {
 	if len(a) != len(b) {

@@ -96,7 +96,7 @@ func TestIncExtMatchesFromScratch(t *testing.T) {
 	}
 
 	// And the semantics moved: fd00's company is now Globex.
-	m := matchRelation(w.products, ex.Matches())
+	m := ex.MatchRelation()
 	joined := natJoin3(t, w.products, m, ex.Result())
 	for _, tp := range joined.Tuples {
 		if joined.Get(tp, "pid").Str() == "fd00" {
@@ -201,7 +201,7 @@ func TestUpdateKeywordsAddsAttribute(t *testing.T) {
 		}
 	}
 	// New attribute is actually populated.
-	m := matchRelation(w.products, ex.Matches())
+	m := ex.MatchRelation()
 	joined := natJoin3(t, w.products, m, dg)
 	if acc := accuracy(t, joined, "country", w.country); acc < 0.9 {
 		t.Fatalf("country accuracy after keyword update = %.2f", acc)

@@ -41,7 +41,7 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 	// Both pre-computed relations hash once at Open inside the natural
 	// joins, match rows gather column-wise, and the projection is a
 	// column-header pick.
-	j := rel.NewNaturalJoin(rel.NewNaturalJoin(src, b.MatchRel), b.Extracted)
+	j := b.Extractor.enrich(src)
 	// Project to S's attributes plus vid plus the requested keywords,
 	// deduplicating: S may already carry vid or some keyword column from
 	// an earlier (chained) enrichment join.
@@ -62,10 +62,12 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 // StaticLinkIter is the pipelined form of StaticLink: both sides are
 // gathered at Open (match restriction needs whole relations), the
 // joined pairs stream out, and the operator's plan note records
-// whether the gL connectivity cache answered the query. The per-vertex
-// BFS fan-out runs on par workers (par <= 0 means GOMAXPROCS); the gL
-// cache is singleflighted, so concurrent queries sharing cacheKey
-// compute the connectivity relation exactly once.
+// whether the gL connectivity cache answered the query: an entry under
+// cacheKey computed at the graph's current mutation count and both
+// bases' current generations is a hit, anything older a miss. The
+// per-vertex BFS fan-out runs on par workers (par <= 0 means
+// GOMAXPROCS); the gL cache is singleflighted, so concurrent queries
+// sharing cacheKey compute the connectivity set exactly once.
 func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 string, s2 rel.Iterator, k, par int, cacheKey string) rel.Iterator {
 	return rel.NewGenerate("l-join static", []rel.Iterator{s1, s2},
 		func(ctx context.Context, in []*rel.Batch) (rel.Generated, error) {
@@ -77,21 +79,15 @@ func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 strin
 			m1 := restrictMatches(b1, r1)
 			m2 := restrictMatches(b2, r2)
 			if cacheKey != "" {
-				glr, hit, err := m.gl.getOrCompute(ctx, cacheKey, func() (*rel.Relation, error) {
+				stamp := glStamp{m.G.Mutations(), b1.Extractor.gen, b2.Extractor.gen}
+				pairs, hit, err := m.gl.getOrCompute(ctx, cacheKey, stamp, func() (glPairs, error) {
 					computeStart := time.Now()
-					out, err := glRelation(ctx, m.G, m1, m2, k, par)
+					out, err := connectedPairs(ctx, m.G, m1, m2, k, par)
 					obs.TraceFromContext(ctx).Phase("gl_compute", computeStart)
 					return out, err
 				})
 				if err != nil {
 					return rel.Generated{}, err
-				}
-				pairs := map[[2]graph.VertexID]bool{}
-				v1c, v2c := glr.Schema.Col("vid1"), glr.Schema.Col("vid2")
-				for _, t := range glr.Tuples {
-					pairs[[2]graph.VertexID{
-						graph.VertexID(t[v1c].Int()), graph.VertexID(t[v2c].Int()),
-					}] = true
 				}
 				g, err := linkGenerated(r1, r2, m1, m2, func(a, b her.Match) bool {
 					return pairs[[2]graph.VertexID{a.Vertex, b.Vertex}]

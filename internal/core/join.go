@@ -94,17 +94,24 @@ func enrichMatched(ctx context.Context, s *rel.Relation, g *graph.Graph, models 
 	}
 	ex := NewExtractor(g, models, cfg)
 	extractStart := time.Now()
-	dg, err := ex.Run(s, matches)
+	_, err := ex.Run(s, matches)
 	obs.TraceFromContext(ctx).Phase("rext_extract", extractStart)
 	if err != nil {
 		return nil, err
 	}
-	m := matchRelation(s, matches)
-	sm, err := rel.NaturalJoin(s, m)
-	if err != nil {
-		return nil, err
-	}
-	return rel.NaturalJoin(sm, dg)
+	return ex.Enriched()
+}
+
+// enrich is the three-way natural join src ⋈ f(S,G) ⋈ h(S,G) over the
+// extractor's current state; src is S or a selection of it.
+func (e *Extractor) enrich(src rel.Iterator) rel.Iterator {
+	return rel.NewNaturalJoin(rel.NewNaturalJoin(src, e.matchRel), e.result)
+}
+
+// Enriched returns every matched tuple of S with its vertex id and
+// extracted attributes.
+func (e *Extractor) Enriched() (*rel.Relation, error) {
+	return rel.Materialize(nil, e.enrich(rel.NewScan(e.s)))
 }
 
 // LinkJoin computes the exact link join S1 ⋈_G S2 of §II-B: tuples t1, t2
@@ -139,10 +146,13 @@ type Materialized struct {
 }
 
 // BaseMaterialization holds the pre-computation for one base relation.
+// The Extractor owns the state — D, f(D,G) and h(D,G) change together
+// at its commit point, and the joins read them from it. Spec.D and
+// Extracted publish the extractor's D and h(D,G) to callers outside
+// the package; a DurableStore rebinds them after every update.
 type BaseMaterialization struct {
 	Spec      BaseSpec
 	Extractor *Extractor
-	MatchRel  *rel.Relation // f(D,G) joined by base key + vid
 	Extracted *rel.Relation // h(D,G)
 }
 
@@ -168,17 +178,11 @@ func BuildMaterialized(g *graph.Graph, models Models, specs map[string]BaseSpec,
 		c.Keywords = spec.AR
 		c.MaxAttrs = len(spec.AR)
 		ex := NewExtractor(g, models, c)
-		matches := spec.Matcher.Match(spec.D, g)
-		dg, err := ex.Run(spec.D, matches)
+		dg, err := ex.Run(spec.D, spec.Matcher.Match(spec.D, g))
 		if err != nil {
 			return nil, fmt.Errorf("core: materialising %s: %w", name, err)
 		}
-		m.bases[name] = &BaseMaterialization{
-			Spec:      spec,
-			Extractor: ex,
-			MatchRel:  matchRelation(spec.D, matches),
-			Extracted: dg,
-		}
+		m.bases[name] = &BaseMaterialization{Spec: spec, Extractor: ex, Extracted: dg}
 	}
 	return m, nil
 }
@@ -245,35 +249,26 @@ func (m *Materialized) GLCacheSize() (relations, tuples int) {
 	return m.gl.stats()
 }
 
-// ClearGLCache discards every completed gL connectivity relation,
-// returning the cache to its cold state (in-flight computations are left
-// to finish and are dropped on completion by normal eviction pressure).
-// Metamorphic tests use it to compare cache-cold against cache-warm
-// executions of the same query on one materialisation.
+// ClearGLCache discards every completed gL connectivity set, returning
+// the cache to its cold state (in-flight computations are left to
+// finish and are dropped on completion by normal eviction pressure).
+// No writer needs it — an entry derived from an older graph or base
+// state is a miss on its own; metamorphic tests use it to compare
+// cache-cold against cache-warm executions of the same query on one
+// materialisation.
 func (m *Materialized) ClearGLCache() {
 	m.gl.clear()
 }
 
-// SetGLCacheCap rebounds the gL cache to at most n resident relations
-// (split evenly over the shards), evicting least-recently-used entries
-// immediately if the current contents exceed the new cap. n <= 0
-// removes the bound. The default is DefaultGLCacheCap.
-func (m *Materialized) SetGLCacheCap(n int) {
-	m.gl.setCap(n)
-}
-
-// restrictMatches narrows a base's pre-computed matches to the live
-// rows of s (a selection over the base relation), re-pointing TupleIdx
-// at the physical row of s.
+// restrictMatches narrows a base's current matches to the live rows of
+// s (a selection over the base relation), re-pointing TupleIdx at the
+// physical row of s.
 func restrictMatches(b *BaseMaterialization, s *rel.Batch) []her.Match {
 	keyCol := s.Schema().KeyCol()
 	if keyCol < 0 {
 		return nil
 	}
-	byTID := map[string]her.Match{}
-	for _, m := range b.Extractor.Matches() {
-		byTID[m.TID.String()] = m
-	}
+	byTID := b.Extractor.tidMatch
 	var out []her.Match
 	keys := s.Col(keyCol)
 	for i, n := 0, s.Rows(); i < n; i++ {

@@ -19,7 +19,6 @@ import (
 	"semjoin/internal/graph"
 	"semjoin/internal/her"
 	"semjoin/internal/obs"
-	"semjoin/internal/rel"
 )
 
 // normPar resolves a degree-of-parallelism knob: any value <= 0 means
@@ -31,104 +30,120 @@ func normPar(par int) int {
 	return par
 }
 
-// glRelation materialises the connectivity pairs (vid1, vid2) for the
-// matched vertices of two tuple sets, with the per-vertex BFS fan-out
-// parallelised over par workers. Pair order is deterministic (m1 then
-// m2 order) regardless of parallelism.
-func glRelation(ctx context.Context, g *graph.Graph, m1, m2 []her.Match, k, par int) (*rel.Relation, error) {
+// glPairs is one gL connectivity set: the (vid1, vid2) pairs, over the
+// matched vertices of two tuple sets, that lie within k hops.
+type glPairs map[[2]graph.VertexID]bool
+
+// connectedPairs computes the connectivity set for the matched vertices
+// of two tuple sets, with the per-vertex BFS fan-out parallelised over
+// par workers.
+func connectedPairs(ctx context.Context, g *graph.Graph, m1, m2 []her.Match, k, par int) (glPairs, error) {
 	reach, _, err := reachSets(ctx, g, m1, k, par)
 	if err != nil {
 		return nil, err
 	}
-	schema := rel.NewSchema("gl", "",
-		rel.Attribute{Name: "vid1", Type: rel.KindInt},
-		rel.Attribute{Name: "vid2", Type: rel.KindInt},
-	)
-	r := rel.NewRelation(schema)
-	seen := map[[2]graph.VertexID]bool{}
+	pairs := glPairs{}
 	for _, a := range m1 {
 		if _, ok := reach.rows[a.Vertex]; !ok {
 			continue
 		}
 		for _, b := range m2 {
-			key := [2]graph.VertexID{a.Vertex, b.Vertex}
-			if reach.connected(a.Vertex, b.Vertex) && !seen[key] {
-				seen[key] = true
-				r.InsertVals(rel.I(int64(a.Vertex)), rel.I(int64(b.Vertex)))
+			if reach.connected(a.Vertex, b.Vertex) {
+				pairs[[2]graph.VertexID{a.Vertex, b.Vertex}] = true
 			}
 		}
 	}
-	return r, nil
+	return pairs, nil
 }
 
 // ------------------------------------------------------------ gL cache
 
 const glShards = 16
 
-// DefaultGLCacheCap bounds the total number of resident gL relations
-// across all shards. Long-running engines see an unbounded stream of
-// distinct predicate pairs, so without a cap the cache grows without
-// limit; 256 relations comfortably covers a working set of repeated
-// queries. Use Materialized.SetGLCacheCap to change it (0 = unbounded).
+// DefaultGLCacheCap bounds the total number of resident gL sets across
+// all shards. Long-running engines see an unbounded stream of distinct
+// predicate pairs, so without a cap the cache grows without limit; 256
+// sets comfortably covers a working set of repeated queries.
 const DefaultGLCacheCap = 256
 
 var glHashSeed = maphash.MakeSeed()
 
-// glEntry is one in-flight or completed gL computation. ready is
-// closed once rel/err are set.
+// glStamp is the state a connectivity set was derived from: the graph's
+// mutation count and the generations of the two bases whose matches fed
+// the BFS. An entry whose stamp differs from the caller's is out of
+// date.
+type glStamp struct {
+	graph, base1, base2 uint64
+}
+
+// glEntry is one in-flight or completed gL computation, at its place in
+// its shard's LRU list. ready is closed once pairs/err are set.
 type glEntry struct {
+	key   string
+	stamp glStamp
+	elem  *list.Element
 	ready chan struct{}
-	rel   *rel.Relation
+	pairs glPairs
 	err   error
 }
 
-// glNode ties a cache entry to its LRU list position.
-type glNode struct {
-	key  string
-	e    *glEntry
-	elem *list.Element
+// completed reports whether e's computation has finished.
+func (e *glEntry) completed() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 type glShard struct {
 	mu  sync.Mutex
-	m   map[string]*glNode
-	lru *list.List // front = most recently used; values are *glNode
+	m   map[string]*glEntry
+	lru *list.List // front = most recently used; values are *glEntry
 	cap int        // max entries in this shard, 0 = unbounded
 }
 
 // glCache is the shard-locked singleflight cache of gL connectivity
-// relations: concurrent queries with the same predicate key share one
-// BFS computation — the first caller computes while the rest wait.
+// sets: concurrent queries with the same predicate key and state share
+// one BFS computation — the first caller computes while the rest wait.
 // Each shard keeps an LRU list so the resident set stays under a cap;
 // in-flight computations are pinned (never evicted mid-compute).
 type glCache struct {
 	shards   [glShards]glShard
 	resident atomic.Int64 // completed, non-error entries across shards
-	tuples   atomic.Int64 // their total tuple count
+	tuples   atomic.Int64 // their total pair count
 }
 
 func newGLCache() *glCache { return newGLCacheCap(DefaultGLCacheCap) }
 
+// newGLCacheCap returns a cache of at most total resident sets, split
+// evenly over the shards (at least one each); total <= 0 removes the
+// bound.
 func newGLCacheCap(total int) *glCache {
 	c := &glCache{}
-	per := perShardCap(total)
+	per := 0
+	if total > 0 {
+		per = max(total/glShards, 1)
+	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]*glNode)
+		c.shards[i].m = make(map[string]*glEntry)
 		c.shards[i].lru = list.New()
 		c.shards[i].cap = per
 	}
 	return c
 }
 
-func perShardCap(total int) int {
-	if total <= 0 {
-		return 0
+// dropLocked takes e out of its shard and, if it had completed, out of
+// the resident gauges (a failed computation removes itself and is never
+// counted). Caller holds sh.mu.
+func (c *glCache) dropLocked(sh *glShard, e *glEntry) {
+	sh.lru.Remove(e.elem)
+	delete(sh.m, e.key)
+	if e.completed() {
+		c.resident.Add(-1)
+		c.tuples.Add(-int64(len(e.pairs)))
 	}
-	per := total / glShards
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // clear drops every completed entry from every shard. Entries still
@@ -138,30 +153,11 @@ func (c *glCache) clear() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for key, n := range sh.m {
-			select {
-			case <-n.e.ready:
-				sh.lru.Remove(n.elem)
-				delete(sh.m, key)
-				if n.e.err == nil && n.e.rel != nil {
-					c.resident.Add(-1)
-					c.tuples.Add(-int64(n.e.rel.Len()))
-				}
-			default: // in-flight; pinned
+		for _, e := range sh.m {
+			if e.completed() {
+				c.dropLocked(sh, e)
 			}
 		}
-		sh.mu.Unlock()
-	}
-}
-
-// setCap rebounds every shard and evicts immediately if shrinking.
-func (c *glCache) setCap(total int) {
-	per := perShardCap(total)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.cap = per
-		c.evictLocked(sh, nil)
 		sh.mu.Unlock()
 	}
 }
@@ -178,27 +174,15 @@ func (c *glCache) evictLocked(sh *glShard, reg *obs.Registry) {
 		return
 	}
 	for sh.lru.Len() > sh.cap {
-		evicted := false
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			n := el.Value.(*glNode)
-			select {
-			case <-n.e.ready:
-			default:
-				continue // in-flight; pinned
-			}
-			sh.lru.Remove(el)
-			delete(sh.m, n.key)
-			if n.e.err == nil && n.e.rel != nil {
-				c.resident.Add(-1)
-				c.tuples.Add(-int64(n.e.rel.Len()))
-			}
-			reg.Counter("core_gl_evictions_total").Inc()
-			evicted = true
-			break
+		el := sh.lru.Back()
+		for el != nil && !el.Value.(*glEntry).completed() {
+			el = el.Prev() // in-flight; pinned
 		}
-		if !evicted {
+		if el == nil {
 			return // everything over cap is still computing
 		}
+		c.dropLocked(sh, el.Value.(*glEntry))
+		reg.Counter("core_gl_evictions_total").Inc()
 	}
 }
 
@@ -207,76 +191,77 @@ func (c *glCache) updateGauges(reg *obs.Registry) {
 	reg.Gauge("core_gl_tuples").Set(c.tuples.Load())
 }
 
-// getOrCompute returns the relation cached under key, computing it at
-// most once across concurrent callers. hit reports whether the value
-// existed (or was being computed by someone else) before this call.
-// Errors are not cached: a failed computation is evicted so the next
-// caller retries. Cache traffic is reported to the registry on ctx
-// (hits, misses, singleflight coalesces, evictions, resident gauges).
-func (c *glCache) getOrCompute(ctx context.Context, key string, compute func() (*rel.Relation, error)) (r *rel.Relation, hit bool, err error) {
+// getOrCompute returns the connectivity set cached under key for the
+// state stamp names, computing it at most once across concurrent
+// callers. hit reports whether the value existed (or was being computed
+// by someone else) before this call. An entry computed at another stamp
+// is a miss: it is dropped for the new computation, and callers already
+// waiting on it still receive its result. Errors are not cached: a
+// failed computation is dropped so the next caller retries. Cache
+// traffic is reported to the registry on ctx (hits, misses,
+// singleflight coalesces, evictions, resident gauges).
+func (c *glCache) getOrCompute(ctx context.Context, key string, stamp glStamp, compute func() (glPairs, error)) (pairs glPairs, hit bool, err error) {
 	reg := obs.FromContext(ctx)
 	sh := c.shard(key)
 	sh.mu.Lock()
-	if n, ok := sh.m[key]; ok {
-		sh.lru.MoveToFront(n.elem)
-		e := n.e
-		sh.mu.Unlock()
-		select {
-		case <-e.ready:
-			reg.Counter("core_gl_hits_total").Inc()
-		default:
-			// Someone else is computing this key right now; we ride
-			// along on their result instead of duplicating the BFS.
-			reg.Counter("core_gl_coalesces_total").Inc()
+	if e, ok := sh.m[key]; ok {
+		if e.stamp == stamp {
+			sh.lru.MoveToFront(e.elem)
+			sh.mu.Unlock()
+			if e.completed() {
+				reg.Counter("core_gl_hits_total").Inc()
+			} else {
+				// Someone else is computing this key right now; we ride
+				// along on their result instead of duplicating the BFS.
+				reg.Counter("core_gl_coalesces_total").Inc()
+			}
+			select {
+			case <-e.ready:
+				return e.pairs, true, e.err
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
 		}
-		select {
-		case <-e.ready:
-			return e.rel, true, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		c.dropLocked(sh, e) // derived from an older state
 	}
-	e := &glEntry{ready: make(chan struct{})}
-	n := &glNode{key: key, e: e}
-	n.elem = sh.lru.PushFront(n)
-	sh.m[key] = n
+	e := &glEntry{key: key, stamp: stamp, ready: make(chan struct{})}
+	e.elem = sh.lru.PushFront(e)
+	sh.m[key] = e
 	c.evictLocked(sh, reg)
 	sh.mu.Unlock()
 	reg.Counter("core_gl_misses_total").Inc()
 
-	e.rel, e.err = compute()
-	close(e.ready)
+	e.pairs, e.err = compute()
 	sh.mu.Lock()
-	if e.err != nil {
-		// Remove only if the map still points at our node — an eviction
-		// may already have raced it out.
-		if cur, ok := sh.m[key]; ok && cur == n {
+	// Publish the result only while the shard still holds this
+	// computation: a newer stamp may have dropped it meanwhile. ready is
+	// closed under the lock so that completed entries are exactly the
+	// counted ones.
+	if sh.m[key] == e {
+		if e.err != nil {
+			sh.lru.Remove(e.elem)
 			delete(sh.m, key)
-			sh.lru.Remove(n.elem)
+		} else {
+			c.resident.Add(1)
+			c.tuples.Add(int64(len(e.pairs)))
 		}
-	} else {
-		c.resident.Add(1)
-		c.tuples.Add(int64(e.rel.Len()))
 	}
+	close(e.ready)
 	sh.mu.Unlock()
 	c.updateGauges(reg)
-	return e.rel, false, e.err
+	return e.pairs, false, e.err
 }
 
-// stats counts completed cache entries and their total tuples.
+// stats counts completed cache entries and their total pairs.
 // In-flight computations are not counted.
 func (c *glCache) stats() (relations, tuples int) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for _, n := range sh.m {
-			select {
-			case <-n.e.ready:
-				if n.e.err == nil && n.e.rel != nil {
-					relations++
-					tuples += n.e.rel.Len()
-				}
-			default:
+		for _, e := range sh.m {
+			if e.completed() {
+				relations++
+				tuples += len(e.pairs)
 			}
 		}
 		sh.mu.Unlock()

@@ -48,7 +48,7 @@ func BenchmarkParallelLinkJoin(b *testing.B) {
 	for _, p := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := glRelation(ctx, g, m1, m2, 3, p); err != nil {
+				if _, err := connectedPairs(ctx, g, m1, m2, 3, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func BenchmarkParallelLinkJoinObs(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := glRelation(bc.ctx, g, m1, m2, 3, 1); err != nil {
+				if _, err := connectedPairs(bc.ctx, g, m1, m2, 3, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,28 +82,26 @@ func BenchmarkParallelLinkJoinObs(b *testing.B) {
 }
 
 // TestParallelLinkJoinMatchesSerial pins that the parallel BFS fan-out
-// is a pure optimization: the gL relation at any P equals the serial
-// one tuple for tuple.
+// is a pure optimization: the gL connectivity set at any P equals the
+// serial one pair for pair.
 func TestParallelLinkJoinMatchesSerial(t *testing.T) {
 	g, m1, m2 := benchLinkGraph(400, 4, 60)
 	ctx := context.Background()
-	serial, err := glRelation(ctx, g, m1, m2, 3, 1)
+	serial, err := connectedPairs(ctx, g, m1, m2, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		par, err := glRelation(ctx, g, m1, m2, 3, p)
+		par, err := connectedPairs(ctx, g, m1, m2, 3, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Len() != serial.Len() {
-			t.Fatalf("p=%d: %d pairs, want %d", p, par.Len(), serial.Len())
+		if len(par) != len(serial) {
+			t.Fatalf("p=%d: %d pairs, want %d", p, len(par), len(serial))
 		}
-		for i := range par.Tuples {
-			for c := range par.Tuples[i] {
-				if !par.Tuples[i][c].Equal(serial.Tuples[i][c]) {
-					t.Fatalf("p=%d row %d: %v != %v", p, i, par.Tuples[i], serial.Tuples[i])
-				}
+		for pair := range par {
+			if !serial[pair] {
+				t.Fatalf("p=%d: pair %v not in the serial set", p, pair)
 			}
 		}
 	}

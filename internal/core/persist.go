@@ -151,8 +151,8 @@ func LoadScheme(in io.Reader) (*Scheme, error) {
 }
 
 // SaveBase persists one base materialisation — the reference keywords AR,
-// the match relation f(D,G), the extracted relation h(D,G) and the
-// extraction scheme — everything a fresh process needs to answer
+// the current match relation f(D,G), the extracted relation h(D,G) and
+// the extraction scheme — everything a fresh process needs to answer
 // well-behaved static joins without re-running HER or RExt.
 func SaveBase(out io.Writer, b *BaseMaterialization) error {
 	w := bin.NewWriter(out)
@@ -161,13 +161,14 @@ func SaveBase(out io.Writer, b *BaseMaterialization) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
-	if err := b.MatchRel.Save(out); err != nil {
+	ex := b.Extractor
+	if err := ex.MatchRelation().Save(out); err != nil {
 		return err
 	}
-	if err := b.Extracted.Save(out); err != nil {
+	if err := ex.Result().Save(out); err != nil {
 		return err
 	}
-	return SaveScheme(out, b.Extractor.Scheme())
+	return SaveScheme(out, ex.Scheme())
 }
 
 // LoadBase restores a materialisation written by SaveBase. The returned
@@ -197,21 +198,11 @@ func LoadBase(in io.Reader, d *rel.Relation, g *graph.Graph, models Models, matc
 	cfg.Keywords = ar
 	cfg.K = scheme.K
 	ex := NewExtractor(g, models, cfg)
-	ex.s = d
 	ex.scheme = scheme
-	ex.result = extracted
-	matches := matchesFromRelation(d, matchRel)
-	ex.matches = matches
-	ex.vertexTuple = make(map[graph.VertexID]int, len(matches))
-	for _, m := range matches {
-		if _, ok := ex.vertexTuple[m.Vertex]; !ok {
-			ex.vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
+	ex.install(d, matchesFromRelation(d, matchRel), extracted)
 	return &BaseMaterialization{
 		Spec:      BaseSpec{D: d, AR: ar, Matcher: matcher},
 		Extractor: ex,
-		MatchRel:  matchRel,
 		Extracted: extracted,
 	}, nil
 }

@@ -109,7 +109,7 @@ func TestSaveLoadBaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Extracted.Len() != b.Extracted.Len() || loaded.MatchRel.Len() != b.MatchRel.Len() {
+	if loaded.Extracted.Len() != b.Extracted.Len() || loaded.Extractor.MatchRelation().Len() != b.Extractor.MatchRelation().Len() {
 		t.Fatal("relation sizes changed")
 	}
 	if len(loaded.AR()) != len(b.AR()) {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semjoin/internal/cluster"
@@ -186,10 +187,23 @@ type Extractor struct {
 	// diagnosable error at its first use.
 	initErr error
 
-	s       *rel.Relation // reference tuples; nil for type extraction
+	// The materialised state: reference tuples S (nil for type
+	// extraction), the HER matches f(S,G) and the extracted relation
+	// h(S,G) (nil until Extract). install is their only writer; the
+	// fields after them are derived there, once per state change.
+	s       *rel.Relation
 	matches []her.Match
+	result  *rel.Relation
 	// vertexTuple maps matched vertex -> tuple index (first match wins).
 	vertexTuple map[graph.VertexID]int
+	// tidMatch maps a tuple id (as rendered by Value.String) to its match.
+	tidMatch map[string]her.Match
+	// matchRel is f(S,G) as a relation joinable with S (nil without S).
+	matchRel *rel.Relation
+	// gen identifies this state among all states of all extractors in
+	// the process: what is derived from the state records the gen it was
+	// built at and is out of date once gen has moved.
+	gen uint64
 
 	mu        sync.Mutex
 	pathCache map[graph.VertexID][]graph.Path
@@ -198,7 +212,6 @@ type Extractor struct {
 	clusters   []*scoredCluster
 	totalPaths int
 	scheme     *Scheme
-	result     *rel.Relation
 
 	// skipDeleteMaintenance disables the stale-row drop in
 	// ApplyGraphUpdate. Fault-injection hook for the metamorphic harness
@@ -248,6 +261,36 @@ func (e *Extractor) Result() *rel.Relation { return e.result }
 
 // Matches returns the HER match relation currently in use.
 func (e *Extractor) Matches() []her.Match { return e.matches }
+
+// MatchRelation returns the current f(S,G) as a relation joinable with
+// S by natural join (S's key attribute, then vid); nil without S.
+func (e *Extractor) MatchRelation() *rel.Relation { return e.matchRel }
+
+// stateGen issues generations. It is process-wide, not per extractor,
+// so that rebinding a base to a recovered extractor cannot repeat a
+// number an older derived structure was stamped with.
+var stateGen atomic.Uint64
+
+// install is the extractor's one commit point: S, the matches and the
+// extracted relation are replaced together, the read structures derived
+// from them are rebuilt, and the generation advances. Callers compute
+// everything that can fail beforehand.
+func (e *Extractor) install(s *rel.Relation, matches []her.Match, result *rel.Relation) {
+	e.s, e.matches, e.result = s, matches, result
+	e.vertexTuple = make(map[graph.VertexID]int, len(matches))
+	e.tidMatch = make(map[string]her.Match, len(matches))
+	for _, m := range matches {
+		if _, ok := e.vertexTuple[m.Vertex]; !ok {
+			e.vertexTuple[m.Vertex] = m.TupleIdx
+		}
+		e.tidMatch[m.TID.String()] = m
+	}
+	e.matchRel = nil
+	if s != nil {
+		e.matchRel = matchRelation(s, matches)
+	}
+	e.gen = stateGen.Add(1)
+}
 
 // Run performs both phases of RExt: pattern discovery over the matched
 // vertices of S, then attribute extraction (Algorithm 1), returning the
@@ -299,14 +342,7 @@ func (e *Extractor) Discover(s *rel.Relation, matches []her.Match) error {
 	if len(matches) == 0 {
 		return fmt.Errorf("core: empty HER match relation f(S,G)")
 	}
-	e.s = s
-	e.matches = matches
-	e.vertexTuple = make(map[graph.VertexID]int, len(matches))
-	for _, m := range matches {
-		if _, ok := e.vertexTuple[m.Vertex]; !ok {
-			e.vertexTuple[m.Vertex] = m.TupleIdx
-		}
-	}
+	e.install(s, matches, nil)
 
 	// (1) Path selection from every matched vertex, in parallel.
 	vertices := make([]graph.VertexID, 0, len(e.vertexTuple))

@@ -63,7 +63,7 @@ func TestRExtDiscoverAndExtract(t *testing.T) {
 		t.Fatalf("DG rows = %d, want %d", dg.Len(), w.products.Len())
 	}
 	// Join back to pids and measure accuracy against ground truth.
-	m := matchRelation(w.products, ex.Matches())
+	m := ex.MatchRelation()
 	joined := natJoin3(t, w.products, m, dg)
 	if acc := accuracy(t, joined, "company", w.company); acc < 0.9 {
 		t.Fatalf("company accuracy = %.2f, want >= 0.9", acc)
@@ -290,7 +290,7 @@ func TestNoiseFracDegradesGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := matchRelation(w.products, ex.Matches())
+		m := ex.MatchRelation()
 		joined := natJoin3(t, w.products, m, dg)
 		return accuracy(t, joined, "company", w.company)
 	}

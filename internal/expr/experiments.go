@@ -9,9 +9,7 @@ import (
 	"semjoin/internal/dataset"
 	"semjoin/internal/graph"
 	"semjoin/internal/gsql"
-	"semjoin/internal/her"
 	"semjoin/internal/mat"
-	"semjoin/internal/rel"
 )
 
 // Options scales and scopes an experiment run.
@@ -312,8 +310,7 @@ func ScaleSweep(o Options, scales []int) []ScaleRow {
 
 			start := time.Now()
 			ex := core.NewExtractor(c.G, models, cfg)
-			matches := matcher.Match(reduced, c.G)
-			dg, err := ex.Run(reduced, matches)
+			dg, err := ex.Run(reduced, matcher.Match(reduced, c.G))
 			secs := time.Since(start).Seconds()
 			row := ScaleRow{
 				Collection: coll, Entities: n,
@@ -321,7 +318,7 @@ func ScaleSweep(o Options, scales []int) []ScaleRow {
 				Seconds: secs, Stages: ex.Timings(),
 			}
 			if err == nil && dg != nil {
-				out, jerr := joinBack(reduced, matches, dg)
+				out, jerr := ex.Enriched()
 				if jerr == nil {
 					var ps []PRF
 					for _, attr := range drop {
@@ -334,22 +331,6 @@ func ScaleSweep(o Options, scales []int) []ScaleRow {
 		}
 	}
 	return rows
-}
-
-// joinBack reattaches an extracted relation to its source tuples for
-// scoring.
-func joinBack(s *rel.Relation, matches []her.Match, dg *rel.Relation) (*rel.Relation, error) {
-	m := rel.NewRelation(rel.NewSchema(s.Schema.Name+"_m", s.Schema.Key,
-		rel.Attribute{Name: s.Schema.Key, Type: rel.KindString},
-		rel.Attribute{Name: "vid", Type: rel.KindInt}))
-	for _, match := range matches {
-		m.InsertVals(match.TID, rel.I(int64(match.Vertex)))
-	}
-	sm, err := rel.NaturalJoin(s, m)
-	if err != nil {
-		return nil, err
-	}
-	return rel.NaturalJoin(sm, dg)
 }
 
 // TableIIIRow is one relative-accuracy aggregate of Table III.
@@ -567,8 +548,9 @@ func Precompute(o Options) []PrecomputeRow {
 			continue
 		}
 		b := mat.Base(c.MainRel)
+		f := b.Extractor.MatchRelation()
 		cells := b.Extracted.Len()*len(b.Extracted.Schema.Attrs) +
-			b.MatchRel.Len()*len(b.MatchRel.Schema.Attrs)
+			f.Len()*len(f.Schema.Attrs)
 		rows = append(rows, PrecomputeRow{
 			Collection: coll, Seconds: secs, ExtractedCells: cells,
 			GraphEdges: c.G.NumEdges(),

@@ -52,6 +52,8 @@ type Graph struct {
 	numEdges int
 	// byType indexes live vertices by Type for typed-graph operations.
 	byType map[string][]VertexID
+	// mutations counts structural changes; see Mutations.
+	mutations uint64
 }
 
 // New returns an empty graph.
@@ -70,6 +72,7 @@ func (g *Graph) AddVertex(label, typ string) VertexID {
 		g.byType = make(map[string][]VertexID)
 	}
 	g.byType[typ] = append(g.byType[typ], id)
+	g.mutations++
 	return id
 }
 
@@ -94,6 +97,7 @@ func (g *Graph) AddEdge(from VertexID, label string, to VertexID) (bool, error) 
 	g.out[from] = append(g.out[from], HalfEdge{Label: label, To: to})
 	g.in[to] = append(g.in[to], HalfEdge{Label: label, To: from})
 	g.numEdges++
+	g.mutations++
 	return true, nil
 }
 
@@ -108,6 +112,7 @@ func (g *Graph) RemoveEdge(from VertexID, label string, to VertexID) bool {
 	}
 	removeHalf(&g.in[to], label, from)
 	g.numEdges--
+	g.mutations++
 	return true
 }
 
@@ -147,7 +152,15 @@ func (g *Graph) RemoveVertex(v VertexID) {
 		}
 	}
 	g.vertices[v].deleted = true
+	g.mutations++
 }
+
+// Mutations returns the number of structural changes (vertex and edge
+// insertions and deletions that took effect) applied to g so far. What
+// is derived from the topology — a cached connectivity set, say —
+// records the count it was computed at and is out of date once the
+// count has moved.
+func (g *Graph) Mutations() uint64 { return g.mutations }
 
 // Live reports whether v is a valid, non-deleted vertex id.
 func (g *Graph) Live(v VertexID) bool {

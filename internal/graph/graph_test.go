@@ -465,3 +465,27 @@ func TestConcurrentReadersAfterMutation(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMutationsCountsEffectiveChanges pins what derived structures rely
+// on: the count moves on every change that took effect and on nothing
+// else.
+func TestMutationsCountsEffectiveChanges(t *testing.T) {
+	g := New()
+	a, b := g.AddVertex("a", "t"), g.AddVertex("b", "t")
+	step := func(what string, want uint64, f func()) {
+		t.Helper()
+		before := g.Mutations()
+		f()
+		if got := g.Mutations() - before; got != want {
+			t.Fatalf("%s moved the count by %d, want %d", what, got, want)
+		}
+	}
+	step("AddVertex", 1, func() { g.AddVertex("c", "t") })
+	step("AddEdge", 1, func() { g.AddEdge(a, "l", b) })
+	step("duplicate AddEdge", 0, func() { g.AddEdge(a, "l", b) })
+	step("RemoveEdge of a missing edge", 0, func() { g.RemoveEdge(b, "l", a) })
+	step("RemoveEdge", 1, func() { g.RemoveEdge(a, "l", b) })
+	step("RemoveVertex", 1, func() { g.RemoveVertex(b) })
+	step("RemoveVertex of a dead vertex", 0, func() { g.RemoveVertex(b) })
+	step("reads", 0, func() { g.Live(a); g.Neighbors(nil, a); g.Clone() })
+}

@@ -185,8 +185,9 @@ func refEnrich(cat *gsql.Catalog, base string, src *rel.Relation, keywords []str
 		return nil, fmt.Errorf("reference: e-join <%s> over %q is not well-behaved", strings.Join(keywords, ", "), base)
 	}
 	b := cat.Mat.Base(base)
+	f := b.Extractor.MatchRelation()
 	key := b.Spec.D.Schema.Key
-	srcKey, matchKey := src.Schema.Col(key), b.MatchRel.Schema.Col(key)
+	srcKey, matchKey := src.Schema.Col(key), f.Schema.Col(key)
 	if key == "" || srcKey < 0 || matchKey < 0 {
 		return nil, fmt.Errorf("reference: e-join source %s lost the key of %q", src.Schema, base)
 	}
@@ -208,9 +209,9 @@ func refEnrich(cat *gsql.Catalog, base string, src *rel.Relation, keywords []str
 		return nil, err
 	}
 	out := rel.NewRelation(schema)
-	matchVid, extVid := b.MatchRel.Schema.Col("vid"), b.Extracted.Schema.Col("vid")
+	matchVid, extVid := f.Schema.Col("vid"), b.Extracted.Schema.Col("vid")
 	for _, t := range src.Tuples {
-		for _, m := range b.MatchRel.Tuples {
+		for _, m := range f.Tuples {
 			if !t[srcKey].Equal(m[matchKey]) {
 				continue
 			}

@@ -11,9 +11,10 @@ import (
 // openDurable handles OPEN <base> <dir>: it opens (creating or
 // recovering) the write-ahead-logged store for a materialized base and
 // rebinds the catalog to the recovered state — the base
-// materialisation, the reference relation, and (when recovery loaded a
-// snapshot with its own graph copy) every catalog graph that pointed
-// at the base's previous graph.
+// materialisation and (when recovery loaded a snapshot with its own
+// graph copy) every catalog graph that pointed at the base's previous
+// graph. The reference relation needs no rebinding: Catalog.Relation
+// reads an open store's current D.
 func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("gsql: usage: OPEN <base> <dir>")
@@ -48,9 +49,6 @@ func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation,
 	// snapshot recovery the store carries its own graph copy, so every
 	// name bound to the old graph follows it.
 	cat.Mat.SetBase(name, st.Base())
-	if cat.Relations != nil {
-		cat.Relations[name] = st.Base().Spec.D
-	}
 	if g := st.Graph(); g != oldG {
 		cat.Mat.G = g
 		for gn, cg := range cat.Graphs {

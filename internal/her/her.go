@@ -226,20 +226,3 @@ func enforceOneToOne(ms []Match) []Match {
 	sort.Slice(out, func(i, j int) bool { return out[i].TupleIdx < out[j].TupleIdx })
 	return out
 }
-
-// MatchSchema is the schema Rm(tid, vid) of §II-B.
-func MatchSchema(name string) *rel.Schema {
-	return rel.NewSchema(name, "tid",
-		rel.Attribute{Name: "tid", Type: rel.KindString},
-		rel.Attribute{Name: "vid", Type: rel.KindInt},
-	)
-}
-
-// MatchRelation materialises matches as a relation of schema Rm(tid, vid).
-func MatchRelation(name string, ms []Match) *rel.Relation {
-	r := rel.NewRelation(MatchSchema(name))
-	for _, m := range ms {
-		r.InsertVals(m.TID, rel.I(int64(m.Vertex)))
-	}
-	return r
-}

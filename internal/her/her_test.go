@@ -119,23 +119,6 @@ func TestSimilarityMatcherSkipsEmptyTuples(t *testing.T) {
 	}
 }
 
-func TestMatchRelation(t *testing.T) {
-	ms := []Match{
-		{TID: rel.S("fd1"), Vertex: 7},
-		{TID: rel.S("fd2"), Vertex: 9},
-	}
-	r := MatchRelation("m", ms)
-	if r.Len() != 2 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	if r.Get(r.Tuples[0], "tid").Str() != "fd1" || r.Get(r.Tuples[0], "vid").Int() != 7 {
-		t.Fatalf("tuple = %v", r.Tuples[0])
-	}
-	if r.Schema.Key != "tid" {
-		t.Fatal("match schema key should be tid")
-	}
-}
-
 func TestOracleMatcher(t *testing.T) {
 	r, g, truth := figure1()
 	o := NewOracleMatcher(truth)

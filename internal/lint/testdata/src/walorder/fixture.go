@@ -5,20 +5,17 @@ package fixture
 
 import "semjoin/internal/wal"
 
-type engine struct{}
-
-func (e *engine) ApplyGraphUpdate(payload []byte) error    { return nil }
-func (e *engine) ApplyRelationUpdate(payload []byte) error { return nil }
-func (e *engine) UpdateKeywords(words []string) error      { return nil }
-
 type store struct {
 	log *wal.Log
-	eng *engine
 }
+
+// apply stands in for DurableStore.apply: decode one record, mutate the
+// in-memory state.
+func (s *store) apply(payload []byte) error { return nil }
 
 // Apply-before-log: a crash between the two lines loses the update.
 func (s *store) applyThenLog(payload []byte) error {
-	if err := s.eng.ApplyGraphUpdate(payload); err != nil { // want "in-memory apply precedes the WAL Append"
+	if err := s.apply(payload); err != nil { // want "in-memory apply precedes the WAL Append"
 		return err
 	}
 	if _, err := s.log.Append(1, payload); err != nil {
@@ -31,7 +28,7 @@ func (s *store) applyThenLog(payload []byte) error {
 // when Append runs.
 func (s *store) applyBeforeLogOnRetry(payload []byte, retry bool) error {
 	if retry {
-		if err := s.eng.ApplyRelationUpdate(payload); err != nil { // want "in-memory apply precedes the WAL Append"
+		if err := s.apply(payload); err != nil { // want "in-memory apply precedes the WAL Append"
 			return err
 		}
 	}
@@ -43,7 +40,7 @@ func (s *store) applyBeforeLogOnRetry(payload []byte, retry bool) error {
 // been logged.
 func (s *store) applyInLoop(batches [][]byte) error {
 	for _, b := range batches {
-		if err := s.eng.ApplyGraphUpdate(b); err != nil { // want "in-memory apply precedes the WAL Append"
+		if err := s.apply(b); err != nil { // want "in-memory apply precedes the WAL Append"
 			return err
 		}
 		if _, err := s.log.Append(1, b); err != nil {
@@ -61,17 +58,17 @@ func (s *store) logThenApply(payload []byte) error {
 	if _, err := s.log.Append(1, payload); err != nil {
 		return err
 	}
-	return s.eng.ApplyGraphUpdate(payload)
+	return s.apply(payload)
 }
 
-func (s *store) logSyncThenApply(words []string, payload []byte) error {
+func (s *store) logSyncThenApply(payload []byte) error {
 	if _, err := s.log.Append(3, payload); err != nil {
 		return err
 	}
 	if err := s.log.Sync(); err != nil {
 		return err
 	}
-	return s.eng.UpdateKeywords(words)
+	return s.apply(payload)
 }
 
 // The per-record loop: every path to an apply has already logged that
@@ -82,7 +79,7 @@ func (s *store) logThenApplyLoop(batches [][]byte) error {
 		if _, err := s.log.Append(1, b); err != nil {
 			return err
 		}
-		if err := s.eng.ApplyGraphUpdate(b); err != nil {
+		if err := s.apply(b); err != nil {
 			return err
 		}
 	}
@@ -93,7 +90,7 @@ func (s *store) logThenApplyLoop(batches [][]byte) error {
 // analyzer stays silent.
 func (s *store) replay(records [][]byte) error {
 	for _, r := range records {
-		if err := s.eng.ApplyGraphUpdate(r); err != nil {
+		if err := s.apply(r); err != nil {
 			return err
 		}
 	}

@@ -15,19 +15,15 @@ var walOrderScope = map[string]bool{
 	"semjoin/internal/server": true,
 }
 
-// walApplyPrefixes name the state-mutating entry points of the update
-// streams. A call to any of them from inside a logging function is the
-// "apply" half of the write path.
-var walApplyPrefixes = []string{
-	"ApplyGraphUpdate",
-	"ApplyRelationUpdate",
-	"UpdateKeywords",
-}
+// walApplyName is the one state-mutating entry point of the update
+// streams: DurableStore.apply, which live updates and replay share. A
+// call to it from inside a logging function is the "apply" half of the
+// write path.
+const walApplyName = "apply"
 
 // WalOrder enforces the PR-9 write-ahead discipline inside
 // internal/core and internal/server: in any function that appends to a
-// *wal.Log, the in-memory apply (ApplyGraphUpdate*,
-// ApplyRelationUpdate*, UpdateKeywords*) must come strictly after the
+// *wal.Log, the in-memory apply must come strictly after the
 // Append — the record must be on disk (fsynced per the log's
 // SyncPolicy, which Append handles internally) before the state it
 // describes exists in memory. Apply-before-log means a crash between
@@ -79,22 +75,14 @@ func isWalAppend(p *Pass, n ast.Node) bool {
 	return isNamedType(p.TypeOf(sel.X), walPkg, "Log")
 }
 
-// isWalApply matches a call to one of the update-stream entry points.
+// isWalApply matches a call to the update-stream entry point.
 func isWalApply(n ast.Node) (*ast.CallExpr, bool) {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
 		return nil, false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, false
-	}
-	for _, prefix := range walApplyPrefixes {
-		if strings.HasPrefix(sel.Sel.Name, prefix) {
-			return call, true
-		}
-	}
-	return nil, false
+	return call, ok && sel.Sel.Name == walApplyName
 }
 
 // checkWalOrderBody flags every apply call that some execution path

@@ -15,7 +15,11 @@
 //     parallel, must be bag-equal on one query (oracle_reference.go);
 //  6. concurrent engines racing over one catalog must match a lone
 //     serial engine (oracle_concurrent.go);
-//  7. a WAL-backed store crashing mid-stream and recovering must end
+//  7. reads over a WAL-backed store after every step of an update
+//     stream — gL-cache-warm and cache-cold — must equal the same reads
+//     over a materialisation built from scratch on the current (D, G)
+//     (oracle_fresh.go);
+//  8. a WAL-backed store crashing mid-stream and recovering must end
 //     in the state of an uninterrupted run (oracle_crash.go).
 //
 // Every run is deterministic in its seed. A failing seed shrinks
@@ -58,9 +62,14 @@ var (
 // (no LSTM/GloVe training), so building a workload costs milliseconds
 // while still exercising every extraction code path.
 type Workload struct {
-	Seed      int64
-	G         *graph.Graph
-	Products  *rel.Relation
+	Seed     int64
+	G        *graph.Graph
+	Products *rel.Relation
+	// Master is Products followed by two reserve rows: products G holds
+	// and HER can align, but absent from D when the bases are built.
+	// Update streams toggle membership over Master, so a ΔD step can add
+	// a tuple no match relation has held before.
+	Master    *rel.Relation
 	Customers *rel.Relation
 	Truth     map[string]graph.VertexID
 	Matcher   *her.OracleMatcher
@@ -108,22 +117,27 @@ func NewWorkload(seed int64) *Workload {
 	))
 	truth := map[string]graph.VertexID{}
 
-	nProducts := 8 + rng.Intn(7)
-	prodV := make([]graph.VertexID, nProducts)
-	for i := 0; i < nProducts; i++ {
+	// addProduct creates product i — vertex, edges, ground truth — and
+	// appends its tuple to into.
+	addProduct := func(i int, into *rel.Relation) graph.VertexID {
 		pid := fmt.Sprintf("pp%d", i)
 		name := fmt.Sprintf("asset %02d", i)
 		ci := rng.Intn(nCompanies)
 		ti := rng.Intn(len(poolTypes))
 		v := g.AddVertex(name, "product")
-		prodV[i] = v
 		g.AddEdge(companyV[ci], "issues", v)
 		g.AddEdge(v, "category", categoryV[ti])
-		products.InsertVals(
+		into.InsertVals(
 			rel.S(pid), rel.S(name), rel.S(companies[ci]),
 			rel.S(poolTypes[ti]), rel.I(int64(60+10*rng.Intn(10))),
 			rel.S(poolRisks[rng.Intn(len(poolRisks))]))
 		truth[pid] = v
+		return v
+	}
+	nProducts := 8 + rng.Intn(7)
+	prodV := make([]graph.VertexID, nProducts)
+	for i := range prodV {
+		prodV[i] = addProduct(i, products)
 	}
 	nCust := 5 + rng.Intn(5)
 	for i := 0; i < nCust; i++ {
@@ -138,11 +152,17 @@ func NewWorkload(seed int64) *Workload {
 			rel.S(poolCredits[rng.Intn(len(poolCredits))]),
 			rel.I(int64(40000+10000*rng.Intn(20))))
 	}
+	master := rel.NewRelation(products.Schema)
+	master.Tuples = append(master.Tuples, products.Tuples...)
+	for i := nProducts; i < nProducts+2; i++ {
+		addProduct(i, master)
+	}
 
 	return &Workload{
 		Seed:      seed,
 		G:         g,
 		Products:  products,
+		Master:    master,
 		Customers: customers,
 		Truth:     truth,
 		Matcher:   her.NewOracleMatcher(truth),
@@ -166,15 +186,21 @@ func (w *Workload) Catalog() (*gsql.Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
+	return w.catalogOver(m, w.Products), nil
+}
+
+// catalogOver binds a catalog to materialisation m, with products as
+// the product relation.
+func (w *Workload) catalogOver(m *core.Materialized, products *rel.Relation) *gsql.Catalog {
 	return &gsql.Catalog{
-		Relations: map[string]*rel.Relation{"product": w.Products, "customer": w.Customers},
-		Graphs:    map[string]*graph.Graph{"G": w.G, "Gp": w.G},
+		Relations: map[string]*rel.Relation{"product": products, "customer": w.Customers},
+		Graphs:    map[string]*graph.Graph{"G": m.G, "Gp": m.G},
 		Models:    w.Models,
 		Matcher:   w.Matcher,
 		Mat:       m,
 		K:         w.Cfg.K,
 		RExt:      core.Config{H: w.Cfg.H, Seed: w.Cfg.Seed},
-	}, nil
+	}
 }
 
 // ------------------------------------------------------------- streams

@@ -36,41 +36,23 @@ func checkIncExt(seed int64, stream Stream, skipDeletes bool) error {
 	cfg.Keywords = w.AR
 	cfg.MaxAttrs = len(w.AR)
 	ex := core.NewExtractor(gInc, w.Models, cfg)
-	cur := w.Products
-	if _, err := ex.Run(cur, w.Matcher.Match(cur, gInc)); err != nil {
+	if _, err := ex.Run(w.Products, w.Matcher.Match(w.Products, gInc)); err != nil {
 		return fmt.Errorf("harness: initial RExt run: %w", err)
 	}
 	ex.SetSkipDeleteMaintenance(skipDeletes)
 
-	// ΔD membership state: master row set with a present/absent flag per
-	// row. Relation steps toggle flags through their positional selectors.
-	master := w.Products
-	present := make([]bool, master.Len())
-	for i := range present {
-		present[i] = true
-	}
-
+	drv := newStreamDriver(&directBase{ex: ex, matcher: w.Matcher}, w)
 	for i, st := range stream {
-		switch st.Kind {
-		case StepGraph:
-			if _, err := ex.ApplyGraphUpdate(st.Batch, w.Matcher); err != nil {
-				return fmt.Errorf("harness: step %d ApplyGraphUpdate: %w", i, err)
-			}
+		if err := drv.step(i, st); err != nil {
+			return err
+		}
+		if st.Kind == StepGraph {
 			// The reference graph sees the identical batch; sequential
 			// vertex-id allocation keeps the two graphs in lockstep.
 			st.Batch.Apply(gRef)
-		case StepRelation:
-			applyRelStep(present, st)
-			cur = subsetRelation(master, present)
-			if _, err := ex.ApplyRelationUpdate(cur, w.Matcher); err != nil {
-				return fmt.Errorf("harness: step %d ApplyRelationUpdate: %w", i, err)
-			}
-		case StepKeywords:
-			if _, err := ex.UpdateKeywords(st.Keywords); err != nil {
-				return fmt.Errorf("harness: step %d UpdateKeywords(%v): %w", i, st.Keywords, err)
-			}
 		}
 	}
+	cur := subsetRelation(drv.master, drv.present)
 
 	ref := core.NewExtractor(gRef, w.Models, cfg)
 	want, err := ref.ExtractWithScheme(cur, ex.Scheme(), w.Matcher.Match(cur, gRef))

@@ -47,7 +47,7 @@ func CheckPersist(seed int64, _ Stream) error {
 	if err != nil {
 		return fmt.Errorf("base round-trip failed to load: %w", err)
 	}
-	if d := difftest.Diff(b.MatchRel, lb.MatchRel); d != "" {
+	if d := difftest.Diff(b.Extractor.MatchRelation(), lb.Extractor.MatchRelation()); d != "" {
 		return fmt.Errorf("base round-trip changed f(D,G): %s", d)
 	}
 	if d := difftest.Diff(b.Extracted, lb.Extracted); d != "" {

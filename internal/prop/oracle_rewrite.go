@@ -126,9 +126,10 @@ func checkEJoinRewrite(w *Workload, cat *gsql.Catalog, eng *gsql.Engine, rng *ra
 		vidToExt[t[extVid].Int()] = t
 	}
 	pidToVid := map[string]int64{}
-	mKey := b.MatchRel.Schema.Col("pid")
-	mVid := b.MatchRel.Schema.Col("vid")
-	for _, t := range b.MatchRel.Tuples {
+	f := b.Extractor.MatchRelation()
+	mKey := f.Schema.Col("pid")
+	mVid := f.Schema.Col("vid")
+	for _, t := range f.Tuples {
 		pidToVid[t[mKey].String()] = t[mVid].Int()
 	}
 

@@ -90,7 +90,15 @@ func TestConcurrentOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "concurrent-vs-serial", Check: CheckConcurrent})
 }
 
-// TestCrashRecoveryOracle checks oracle 7: a WAL-backed store that
+// TestFreshReadsOracle checks oracle 7: after every step of an update
+// stream through a WAL-backed store, cache-warm reads, cache-cold reads
+// and reads over a from-scratch materialisation of the current state
+// agree.
+func TestFreshReadsOracle(t *testing.T) {
+	runOracle(t, Oracle{Name: "fresh-reads", StreamLen: 8, Check: CheckFreshReads})
+}
+
+// TestCrashRecoveryOracle checks oracle 8: a WAL-backed store that
 // crashes at a seed-chosen record boundary and recovers must finish an
 // update stream in the exact state of an uninterrupted run.
 func TestCrashRecoveryOracle(t *testing.T) {

@@ -413,24 +413,6 @@ func TestAggregateIgnoresNulls(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
-	p := products()
-	idx := must(BuildIndex(p, "issuer"))
-	got := idx.Lookup(S("G&L"))
-	if len(got) != 2 {
-		t.Fatalf("lookup = %d rows", len(got))
-	}
-	if _, ok := idx.LookupFirst(S("nobody")); ok {
-		t.Fatal("missing key should not be found")
-	}
-	if idx.Lookup(Null) != nil {
-		t.Fatal("null lookup should be empty")
-	}
-	if idx.Len() != 3 {
-		t.Fatalf("distinct keys = %d", idx.Len())
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	p := products()
 	s := p.String()

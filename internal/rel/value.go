@@ -1,7 +1,7 @@
 // Package rel implements the relational substrate the paper deploys its
 // semantic joins on: schemas, typed tuples, relations and the physical
 // operators (selection, projection, hash/natural/nested-loop joins,
-// aggregation, sorting, indexes) that the gSQL executor plans over. The
+// aggregation, sorting) that the gSQL executor plans over. The
 // paper runs atop PostgreSQL; this embedded engine plays the same role —
 // §IV reduces every well-behaved semantic join to plain relational joins,
 // which this package executes.
