@@ -40,7 +40,7 @@ func (e *Extractor) Extract() (*rel.Relation, error) {
 		}
 	}
 	rows := make([]rel.Tuple, len(order))
-	e.parallelFor(len(order), func(i int) {
+	e.parallelFor(len(order), walkGrain, func(i int) {
 		rows[i] = e.extractTuple(order[i])
 	})
 	dg.Tuples = rows

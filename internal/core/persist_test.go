@@ -39,10 +39,16 @@ func TestSaveLoadModelsRoundTrip(t *testing.T) {
 	s2 := loaded.Seq.Start()
 	s1.Feed("Acme Corp")
 	s2.Feed("Acme Corp")
-	p1, p2 := s1.Probs(), s2.Probs()
+	// What path selection consumes: the output score of every token.
+	vocab := w.models.Seq.Vocab()
+	tokens := make([]string, vocab.Size())
+	for id := range tokens {
+		tokens[id] = vocab.Token(id)
+	}
+	p1, p2 := s1.Scores(nil, tokens), s2.Scores(nil, tokens)
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatal("next-token distributions differ after reload")
+			t.Fatalf("next-token score of %q differs after reload", tokens[i])
 		}
 	}
 }

@@ -167,7 +167,7 @@ func avgPatternLen(sc *scoredCluster) float64 {
 
 // parallelForClusters applies fn to every cluster concurrently.
 func (e *Extractor) parallelForClusters(fn func(*scoredCluster)) {
-	e.parallelFor(len(e.clusters), func(i int) { fn(e.clusters[i]) })
+	e.parallelFor(len(e.clusters), 1, func(i int) { fn(e.clusters[i]) })
 }
 
 // selectScheme assembles the extraction scheme RG(vid, A1, ..., Am) by

@@ -371,7 +371,7 @@ func (e *Extractor) Discover(s *rel.Relation, matches []her.Match) error {
 
 	// (2) Vertex-path pair embedding: concat(L2(xL(end)), L2(xρ)).
 	stageStart = time.Now()
-	e.parallelFor(len(pairs), func(i int) {
+	e.parallelFor(len(pairs), 1, func(i int) {
 		p := pairs[i].path
 		xl := mat.Normalize(e.models.Word.Embed(e.g.Label(p.End())))
 		var xr mat.Vector
@@ -486,7 +486,7 @@ func (e *Extractor) selectPathsFor(vertices []graph.VertexID) {
 		}
 	}
 	results := make([][]graph.Path, len(missing))
-	e.parallelFor(len(missing), func(i int) {
+	e.parallelFor(len(missing), walkGrain, func(i int) {
 		results[i] = e.selectPaths(missing[i])
 	})
 	for i, v := range missing {
@@ -500,6 +500,11 @@ func (e *Extractor) selectPathsFor(vertices []graph.VertexID) {
 // prefix of a walk is itself a selected path (clusters mix lengths, as in
 // the paper's Figure 2). With RandomPaths set the extension is uniform
 // (the RndPath baseline).
+//
+// What it reads of the graph is what IncExt's walkRead relies on: the
+// adjacency (Steps) of v and of the end of every selected path shorter
+// than K — that is, of path vertices at index < K — and vertex labels,
+// which never change. Everything else is a function of v and the models.
 func (e *Extractor) selectPaths(v graph.VertexID) []graph.Path {
 	if !e.g.Live(v) {
 		return nil
@@ -510,17 +515,30 @@ func (e *Extractor) selectPaths(v graph.VertexID) []graph.Path {
 	}
 	rng := mat.NewRNG(e.cfg.Seed ^ (uint64(v) + 0x9e37))
 	var out []graph.Path
-	eosID := -1
-	var vocab *nn.Vocab
-	if e.models.Seq != nil {
-		vocab = e.models.Seq.Vocab()
-		eosID = vocab.ID(nn.EOS)
+	// root is Mρ after the prefix every walk from v shares, (BOS, L(v)).
+	var root nn.State
+	if !e.models.RandomPaths {
+		root = e.models.Seq.Start()
+		root.Feed(e.g.Label(v))
 	}
 	// branch is one frontier element of the (narrow) beam expansion.
 	type branch struct {
 		path  graph.Path
 		state nn.State
 	}
+	// ranked holds one candidate step per distinct edge label; tokens and
+	// scores run parallel to it, with EOS in the extra last slot.
+	type labelled struct {
+		step  graph.Step
+		tok   string
+		score float64
+	}
+	var (
+		ranked []labelled
+		tokens []string
+		scores []float64
+		cands  []graph.Step
+	)
 	for _, first := range steps {
 		p := graph.Path{
 			Vertices:   []graph.VertexID{v, first.To},
@@ -530,8 +548,7 @@ func (e *Extractor) selectPaths(v graph.VertexID) []graph.Path {
 
 		var state nn.State
 		if !e.models.RandomPaths {
-			state = e.models.Seq.Start()
-			state.Feed(e.g.Label(v))
+			state = root.Clone()
 			state.Feed(p.EdgeLabels[0])
 			state.Feed(e.g.Label(first.To))
 		}
@@ -539,7 +556,7 @@ func (e *Extractor) selectPaths(v graph.VertexID) []graph.Path {
 		for depth := 1; depth < e.cfg.K && len(frontier) > 0; depth++ {
 			var next []branch
 			for _, br := range frontier {
-				cands := e.g.Steps(nil, br.path.End())
+				cands = e.g.Steps(cands[:0], br.path.End())
 				prev := br.path.EdgeLabels[len(br.path.EdgeLabels)-1]
 				// Drop cycle-forming steps (stop condition (d)) and, unless
 				// AllowBounce is set, sibling bounces (l then ^l).
@@ -561,39 +578,42 @@ func (e *Extractor) selectPaths(v graph.VertexID) []graph.Path {
 				if e.models.RandomPaths {
 					chosen = append(chosen, cands[rng.Intn(len(cands))])
 				} else {
-					probs := br.state.Probs()
 					// The paper chooses the EDGE LABEL with the highest
 					// predicted probability, then an edge carrying it; the
 					// beam generalisation keeps the top-Beam distinct
-					// labels, one (deterministic) edge each.
-					type scored struct {
-						step graph.Step
-						p    float64
-					}
-					bestByLabel := map[string]scored{}
+					// labels, one (deterministic) edge each: the one to the
+					// lowest vertex id.
+					ranked, tokens = ranked[:0], tokens[:0]
+				cand:
 					for _, c := range cands {
 						tok := graph.MarkLabel(c.Label, c.Forward)
-						pr := 0.0
-						if vocab.Has(tok) {
-							pr = probs[vocab.ID(tok)]
+						for i := range ranked {
+							if ranked[i].tok == tok {
+								if c.To < ranked[i].step.To {
+									ranked[i].step = c
+								}
+								continue cand
+							}
 						}
-						if cur, ok := bestByLabel[tok]; !ok || c.To < cur.step.To {
-							bestByLabel[tok] = scored{c, pr}
-						}
+						ranked = append(ranked, labelled{step: c, tok: tok})
+						tokens = append(tokens, tok)
 					}
-					ranked := make([]scored, 0, len(bestByLabel))
-					for _, s := range bestByLabel {
-						ranked = append(ranked, s)
+					// Labels are ranked by their own output scores, which
+					// order them as the full next-token distribution would;
+					// a label Mρ never saw scores -Inf (probability 0).
+					scores = br.state.Scores(scores[:0], append(tokens, nn.EOS))
+					for i := range ranked {
+						ranked[i].score = scores[i]
 					}
 					sort.SliceStable(ranked, func(i, j int) bool {
-						if ranked[i].p != ranked[j].p {
-							return ranked[i].p > ranked[j].p
+						if ranked[i].score != ranked[j].score {
+							return ranked[i].score > ranked[j].score
 						}
 						return ranked[i].step.To < ranked[j].step.To
 					})
 					// Stop condition (a): Mρ emits the end-of-sentence
 					// signal with higher probability than any candidate.
-					if eosID >= 0 && probs[eosID] > ranked[0].p {
+					if scores[len(ranked)] > ranked[0].score {
 						continue
 					}
 					width := e.cfg.Beam
@@ -643,12 +663,19 @@ func (e *Extractor) valueVec(s string) mat.Vector {
 	return v
 }
 
-// parallelFor runs fn(i) for i in [0, n) on cfg.Parallel workers.
-func (e *Extractor) parallelFor(n int, fn func(i int)) {
-	workers := e.cfg.Parallel
-	if workers > n {
-		workers = n
-	}
+// walkGrain is the grain of the per-vertex loops (path selection, row
+// extraction). One walk is a few hundred microseconds and a parked core
+// takes anything from 0.05 to a few milliseconds to wake: with fewer
+// walks than this per worker, when the second worker starts decides how
+// long the loop takes, and the same ΔG costs 5 ms in one run and 8 in
+// the next (DESIGN.md "V∆: candidates vs. read set").
+const walkGrain = 64
+
+// parallelFor runs fn(i) for i in [0, n) on up to cfg.Parallel workers,
+// each with at least grain items to its name; fewer than two grains run
+// on the calling goroutine.
+func (e *Extractor) parallelFor(n, grain int, fn func(i int)) {
+	workers := min(e.cfg.Parallel, n/grain)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

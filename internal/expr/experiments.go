@@ -215,7 +215,8 @@ type IncRow struct {
 	DeltaPct   int
 	IncSeconds float64
 	ExtSeconds float64 // from-scratch RExt on the updated graph
-	Affected   int
+	Candidates int     // matched vertices in ΔG's k-hop ball
+	Affected   int     // of those, the ones re-extracted
 }
 
 // Fig5h sweeps |ΔG| from 5% to 45% of |G| and times IncExt against a
@@ -274,7 +275,8 @@ func incOnce(trained *Run, o Options, pct int) IncRow {
 	extSecs := time.Since(start).Seconds()
 
 	return IncRow{Collection: coll, DeltaPct: pct,
-		IncSeconds: incSecs, ExtSeconds: extSecs, Affected: stats.Affected}
+		IncSeconds: incSecs, ExtSeconds: extSecs,
+		Candidates: stats.Candidates, Affected: stats.Affected}
 }
 
 // ScaleRow is one Exp-3(III) scalability measurement: extraction of the

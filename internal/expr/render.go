@@ -47,7 +47,7 @@ func RenderFigure(w io.Writer, f Figure) {
 
 // RenderIncRows writes the Fig 5(h) / Exp-4 table.
 func RenderIncRows(w io.Writer, rows []IncRow) {
-	out := [][]string{{"collection", "|ΔG|%", "IncExt(s)", "RExt(s)", "speedup", "affected"}}
+	out := [][]string{{"collection", "|ΔG|%", "IncExt(s)", "RExt(s)", "speedup", "candidates", "affected"}}
 	for _, r := range rows {
 		speed := "-"
 		if r.IncSeconds > 0 {
@@ -56,7 +56,7 @@ func RenderIncRows(w io.Writer, rows []IncRow) {
 		out = append(out, []string{
 			r.Collection, fmt.Sprintf("%d", r.DeltaPct),
 			fmt.Sprintf("%.4f", r.IncSeconds), fmt.Sprintf("%.4f", r.ExtSeconds),
-			speed, fmt.Sprintf("%d", r.Affected),
+			speed, fmt.Sprintf("%d", r.Candidates), fmt.Sprintf("%d", r.Affected),
 		})
 	}
 	writeAligned(w, out)

@@ -388,6 +388,33 @@ func TestBatchDeleteVertexTouchesNeighbors(t *testing.T) {
 	}
 }
 
+// TestBatchNoOpTouchesNothing pins that touched means "adjacency
+// changed": updates that leave the graph as it was — a duplicate insert,
+// a delete of a missing edge, an insert at a dead endpoint — report no
+// vertex and do not move Mutations().
+func TestBatchNoOpTouchesNothing(t *testing.T) {
+	g, v := buildFigure1(t)
+	dead := v["pid4"]
+	Batch{{Op: DeleteVertex, Edge: Edge{From: dead}}}.Apply(g)
+	for _, tc := range []struct {
+		name string
+		u    Update
+	}{
+		{"duplicate insert", Update{Op: InsertEdge, Edge: Edge{From: v["pid1"], Label: "type", To: v["Funds"]}}},
+		{"delete of a missing edge", Update{Op: DeleteEdge, Edge: Edge{From: v["Funds"], Label: "type", To: v["pid1"]}}},
+		{"insert at a dead endpoint", Update{Op: InsertEdge, Edge: Edge{From: v["pid1"], Label: "type", To: dead}}},
+		{"delete of a dead vertex", Update{Op: DeleteVertex, Edge: Edge{From: dead}}},
+	} {
+		before, edges := g.Mutations(), g.NumEdges()
+		if touched := (Batch{tc.u}).Apply(g); len(touched) != 0 {
+			t.Errorf("%s touched %v, want nothing", tc.name, touched)
+		}
+		if g.Mutations() != before || g.NumEdges() != edges {
+			t.Errorf("%s changed the graph", tc.name)
+		}
+	}
+}
+
 func TestRandomBatchPreservesSize(t *testing.T) {
 	g, _ := buildFigure1(t)
 	rng := mat.NewRNG(3)

@@ -1,6 +1,10 @@
 package graph
 
-import "semjoin/internal/mat"
+import (
+	"strings"
+
+	"semjoin/internal/mat"
+)
 
 // UpdateOp is the kind of a single graph update.
 type UpdateOp int
@@ -27,17 +31,22 @@ type Update struct {
 // Batch is an ordered set of updates ΔG.
 type Batch []Update
 
-// Apply applies every update to g and returns the vertices touched by the
-// batch: edge endpoints, deleted vertices and inserted vertices. IncExt
-// seeds its affected-vertex search from this set.
+// Apply applies every update to g and returns the live vertices whose
+// adjacency the batch changed: both endpoints of every edge that was
+// really added or removed, every neighbour of a deleted vertex, and
+// inserted vertices. An update that leaves g as it was — inserting an
+// edge that exists, deleting one that does not, a dead endpoint —
+// touches nothing. IncExt seeds its affected-vertex search from this set
+// and keeps a cached walk that read none of it.
 func (b Batch) Apply(g *Graph) []VertexID {
 	touchedSet := make(map[VertexID]bool)
 	for i := range b {
 		u := &b[i]
 		switch u.Op {
 		case InsertEdge:
-			if g.Live(u.Edge.From) && g.Live(u.Edge.To) {
-				g.AddEdge(u.Edge.From, u.Edge.Label, u.Edge.To)
+			// AddEdge's only error is a dead endpoint, which like a
+			// duplicate edge changes nothing.
+			if added, _ := g.AddEdge(u.Edge.From, u.Edge.Label, u.Edge.To); added {
 				touchedSet[u.Edge.From] = true
 				touchedSet[u.Edge.To] = true
 			}
@@ -109,19 +118,35 @@ func RandomBatch(g *Graph, rng *mat.RNG, n int) Batch {
 // kinds: edge deletions and insertions (as RandomBatch), vertex
 // insertions (fresh label, type sampled from the live types, wired to a
 // random live vertex by a follow-up edge insertion so the newcomer is
-// reachable), and vertex deletions sampled from the live vertices.
+// reachable), and vertex deletions. A deletion retires a vertex that an
+// earlier batch inserted (they carry mixedMark in their label) while one
+// is live, and a random live vertex otherwise, so a long stream churns
+// its own additions and |V|, |E| and the vertices it was seeded with stay
+// about as they were, as RandomBatch keeps |G|: with uniformly random victims a
+// stream applied k times faster empties the seeded graph k times sooner,
+// and what a batch costs depends on how many were applied before it.
 // Property-based IncExt oracles use it to exercise the delete and
-// insert maintenance paths that edge-only batches never reach. The
-// batch is not applied.
+// insert maintenance paths that edge-only batches never reach (their
+// streams are short: most deletions find no inserted vertex yet and hit
+// a seeded one). The batch is not applied.
 func RandomMixedBatch(g *Graph, rng *mat.RNG, n int) Batch {
 	var edges []Edge
 	g.Edges(func(e Edge) { edges = append(edges, e) })
-	var ids []VertexID
-	g.Vertices(func(v Vertex) { ids = append(ids, v.ID) })
+	var ids, own []VertexID
+	g.Vertices(func(v Vertex) {
+		ids = append(ids, v.ID)
+		if strings.Contains(v.Label, mixedMark) {
+			own = append(own, v.ID)
+		}
+	})
 	labels := g.EdgeLabels()
 	types := g.Types()
 	if len(ids) < 2 || len(labels) == 0 {
 		return nil
+	}
+	victims := ids
+	if len(own) > 0 {
+		victims = own
 	}
 	batch := make(Batch, 0, n)
 	nextEdge := 0
@@ -150,7 +175,7 @@ func RandomMixedBatch(g *Graph, rng *mat.RNG, n int) Batch {
 			if len(types) > 0 {
 				typ = types[rng.Intn(len(types))]
 			}
-			label := typ + " new " + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
+			label := typ + mixedMark + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 			batch = append(batch, Update{Op: InsertVertex, Label: label, Type: typ})
 			// Vertex ids are allocated sequentially, so the id the new
 			// vertex will receive at Apply time is predictable; wire it to
@@ -163,15 +188,19 @@ func RandomMixedBatch(g *Graph, rng *mat.RNG, n int) Batch {
 				Op:   InsertEdge,
 				Edge: Edge{From: ids[rng.Intn(len(ids))], Label: labels[rng.Intn(len(labels))], To: predicted},
 			})
-		default: // delete a random live vertex
+		default: // delete a vertex: one the stream inserted, if any
 			batch = append(batch, Update{
 				Op:   DeleteVertex,
-				Edge: Edge{From: ids[rng.Intn(len(ids))]},
+				Edge: Edge{From: victims[rng.Intn(len(victims))]},
 			})
 		}
 	}
 	return batch
 }
+
+// mixedMark is what RandomMixedBatch puts into the label of every vertex
+// it inserts, and how it recognises them later.
+const mixedMark = " new "
 
 func indexOf(ids []VertexID, v VertexID) int {
 	for i, id := range ids {

@@ -36,6 +36,13 @@ type State interface {
 	// Probs returns the next-token distribution (indexed by vocab id).
 	// The returned vector is owned by the caller.
 	Probs() mat.Vector
+	// Scores appends to dst the model's output score of each token as
+	// the next token — its pre-softmax logit, -Inf for a token outside
+	// the vocabulary — and returns the extended slice. Tokens order by
+	// score exactly as they order by Probs() (softmax is monotone, and
+	// an out-of-vocabulary token ranks below every real one), at the
+	// cost of one output row per token instead of the whole vocabulary.
+	Scores(dst []float64, tokens []string) []float64
 	// Hidden returns the current sequence representation. The returned
 	// vector is owned by the caller.
 	Hidden() mat.Vector
@@ -150,16 +157,20 @@ type step struct {
 	probs        mat.Vector // softmax output
 }
 
-// forwardStep advances (hPrev, cPrev) by token id, returning the caches.
-func (m *LSTM) forwardStep(id int, hPrev, cPrev mat.Vector, withOutput bool) step {
-	h := m.cfg.HiddenDim
-	x := m.emb.Row(id)
-	z := mat.NewVector(4 * h)
-	m.wx.MulVec(z, x)
-	tmp := mat.NewVector(4 * h)
+// preact computes the gate pre-activations z = Wx·x(id) + Wh·hPrev + b
+// (gate order i, f, g, o) into z, using tmp (same length) as scratch.
+func (m *LSTM) preact(z, tmp mat.Vector, id int, hPrev mat.Vector) {
+	m.wx.MulVec(z, m.emb.Row(id))
 	m.wh.MulVec(tmp, hPrev)
 	z.Add(tmp)
 	z.Add(m.b)
+}
+
+// forwardStep advances (hPrev, cPrev) by token id, returning the caches.
+func (m *LSTM) forwardStep(id int, hPrev, cPrev mat.Vector, withOutput bool) step {
+	h := m.cfg.HiddenDim
+	z := mat.NewVector(4 * h)
+	m.preact(z, mat.NewVector(4*h), id, hPrev)
 	st := step{
 		id: id, hPrev: hPrev, cPrev: cPrev,
 		i: mat.NewVector(h), f: mat.NewVector(h), g: mat.NewVector(h), o: mat.NewVector(h),
@@ -330,23 +341,40 @@ func (m *LSTM) Perplexity(corpus [][]string) float64 {
 	return math.Exp(nll / float64(n))
 }
 
-// lstmState implements State.
+// lstmState implements State. It owns its vectors — h, c and the gate
+// scratch z, tmp are slices of one allocation — so Feed allocates
+// nothing.
 type lstmState struct {
-	m    *LSTM
-	h, c mat.Vector
+	m      *LSTM
+	h, c   mat.Vector
+	z, tmp mat.Vector
+}
+
+func (m *LSTM) newState() *lstmState {
+	h := m.cfg.HiddenDim
+	buf := mat.NewVector(10 * h)
+	return &lstmState{m: m, h: buf[:h], c: buf[h : 2*h], z: buf[2*h : 6*h], tmp: buf[6*h:]}
 }
 
 // Start returns a state positioned after BOS.
 func (m *LSTM) Start() State {
-	s := &lstmState{m: m, h: mat.NewVector(m.cfg.HiddenDim), c: mat.NewVector(m.cfg.HiddenDim)}
+	s := m.newState()
 	s.Feed(BOS)
 	return s
 }
 
-// Feed advances the state by one token.
+// Feed advances the state by one token: forwardStep's arithmetic,
+// updating h and c in place.
 func (s *lstmState) Feed(token string) {
-	st := s.m.forwardStep(s.m.vocab.ID(token), s.h, s.c, false)
-	s.h, s.c = st.h, st.c
+	h := len(s.h)
+	z := s.z
+	s.m.preact(z, s.tmp, s.m.vocab.ID(token), s.h)
+	for j := 0; j < h; j++ {
+		i, f := mat.Sigmoid(z[j]), mat.Sigmoid(z[h+j])
+		g, o := mat.Tanh(z[2*h+j]), mat.Sigmoid(z[3*h+j])
+		s.c[j] = f*s.c[j] + i*g
+		s.h[j] = o * mat.Tanh(s.c[j])
+	}
 }
 
 // Probs returns the next-token distribution.
@@ -357,12 +385,36 @@ func (s *lstmState) Probs() mat.Vector {
 	return mat.Softmax(logits, logits)
 }
 
+// Scores returns the output logit of each token: its row of the output
+// projection against h, as Probs computes it before the softmax.
+func (s *lstmState) Scores(dst []float64, tokens []string) []float64 {
+	return appendScores(dst, tokens, s.m.vocab, s.m.wo, s.m.bo, s.h)
+}
+
+// appendScores appends, per token, the logit out.Row(id)·rep + bias[id]
+// — the value MulVec and Add produce for that row — or -Inf when the
+// token is not in vocab.
+func appendScores(dst []float64, tokens []string, vocab *Vocab, out *mat.Matrix, bias, rep mat.Vector) []float64 {
+	for _, tok := range tokens {
+		id, ok := vocab.byToken[tok]
+		if !ok {
+			dst = append(dst, math.Inf(-1))
+			continue
+		}
+		dst = append(dst, mat.Dot(out.Row(id), rep)+bias[id])
+	}
+	return dst
+}
+
 // Hidden returns a copy of the hidden state.
 func (s *lstmState) Hidden() mat.Vector { return s.h.Clone() }
 
 // Clone returns an independent copy.
 func (s *lstmState) Clone() State {
-	return &lstmState{m: s.m, h: s.h.Clone(), c: s.c.Clone()}
+	c := s.m.newState()
+	copy(c.h, s.h)
+	copy(c.c, s.c)
+	return c
 }
 
 // EmbedSequence feeds tokens through the model and returns the final

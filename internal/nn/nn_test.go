@@ -343,3 +343,103 @@ func (m *LSTM) gradsForSentence(ids []int) capturedGrads {
 	m.zeroGrads()
 	return g
 }
+
+// TestScoresOrderAsProbs pins what path selection relies on: ranking
+// candidate tokens by Scores — and comparing the best of them with EOS
+// — decides exactly as ranking by the full distribution with p = 0 for
+// tokens outside the vocabulary, for both sequence models, over random
+// prefixes and candidate sets that include out-of-vocabulary tokens.
+func TestScoresOrderAsProbs(t *testing.T) {
+	rng := mat.NewRNG(11)
+	words := make([]string, 40)
+	for i := range words {
+		words[i] = "w" + string(rune('a'+i/26)) + string(rune('a'+i%26))
+	}
+	var corpus [][]string
+	for i := 0; i < 120; i++ {
+		sent := make([]string, 2+rng.Intn(6))
+		for j := range sent {
+			sent[j] = words[rng.Intn(len(words))]
+		}
+		corpus = append(corpus, sent)
+	}
+	vocab := BuildVocab(corpus, 1)
+	lstm := NewLSTM(vocab, LSTMConfig{Seed: 5})
+	lstm.Train(corpus, 2)
+	tf := NewTransformer(vocab, TransformerConfig{Seed: 5})
+	tf.Train(corpus, 2)
+	pool := append(append([]string(nil), words...), "oov-1", "oov-2", UNK)
+
+	sign := func(x float64) int {
+		switch {
+		case x > 0:
+			return 1
+		case x < 0:
+			return -1
+		}
+		return 0
+	}
+	for name, m := range map[string]SequenceModel{"lstm": lstm, "transformer": tf} {
+		for trial := 0; trial < 200; trial++ {
+			s := m.Start()
+			for n := rng.Intn(7); n > 0; n-- {
+				s.Feed(pool[rng.Intn(len(pool))])
+			}
+			cands := make([]string, 1+rng.Intn(8))
+			for i := range cands {
+				cands[i] = pool[rng.Intn(len(pool))]
+			}
+			probs := s.Probs()
+			p := make([]float64, len(cands))
+			for i, tok := range cands {
+				if vocab.Has(tok) {
+					p[i] = probs[vocab.ID(tok)]
+				}
+			}
+			scores := s.Scores(nil, append(cands, EOS))
+			if len(scores) != len(cands)+1 {
+				t.Fatalf("%s: %d scores for %d tokens", name, len(scores), len(cands)+1)
+			}
+			eos := scores[len(cands)]
+			for i := range cands {
+				if vocab.Has(cands[i]) == math.IsInf(scores[i], -1) {
+					t.Fatalf("%s: token %q scored %v", name, cands[i], scores[i])
+				}
+				if (probs[vocab.ID(EOS)] > p[i]) != (eos > scores[i]) {
+					t.Fatalf("%s trial %d: EOS stop differs for %q: p(eos)=%g p=%g, scores %g vs %g",
+						name, trial, cands[i], probs[vocab.ID(EOS)], p[i], eos, scores[i])
+				}
+				for j := range cands {
+					if sign(p[i]-p[j]) != sign(scores[i]-scores[j]) {
+						t.Fatalf("%s trial %d: %q vs %q: probs %g, %g but scores %g, %g",
+							name, trial, cands[i], cands[j], p[i], p[j], scores[i], scores[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLSTMFeedMatchesForwardStep pins that the allocation-free decoding
+// step is the training forward pass bit for bit, through clones.
+func TestLSTMFeedMatchesForwardStep(t *testing.T) {
+	corpus := toyCorpus(20)
+	m := NewLSTM(BuildVocab(corpus, 1), LSTMConfig{Seed: 9})
+	m.Train(corpus, 1)
+	h, c := mat.NewVector(m.cfg.HiddenDim), mat.NewVector(m.cfg.HiddenDim)
+	st := m.forwardStep(m.vocab.ID(BOS), h, c, false)
+	s := m.Start()
+	for i, tok := range []string{"a", "x1", "never-seen", "b", "y1", EOS} {
+		st = m.forwardStep(m.vocab.ID(tok), st.h, st.c, false)
+		if i%2 == 1 {
+			s = s.Clone()
+		}
+		s.Feed(tok)
+		got := s.(*lstmState)
+		for j := range st.h {
+			if got.h[j] != st.h[j] || got.c[j] != st.c[j] {
+				t.Fatalf("after %q: state differs at %d: h %v vs %v, c %v vs %v", tok, j, got.h[j], st.h[j], got.c[j], st.c[j])
+			}
+		}
+	}
+}

@@ -347,6 +347,13 @@ func (s *tfState) Probs() mat.Vector {
 	return fw.probs[len(fw.probs)-1].Clone()
 }
 
+// Scores returns the LM-head logit of each token over the last
+// position's representation.
+func (s *tfState) Scores(dst []float64, tokens []string) []float64 {
+	fw := s.m.forward(s.ids, false)
+	return appendScores(dst, tokens, s.m.vocab, s.m.wout, s.m.bout, fw.out[len(fw.out)-1])
+}
+
 // Hidden returns the representation of the last position.
 func (s *tfState) Hidden() mat.Vector {
 	fw := s.m.forward(s.ids, false)

@@ -10,7 +10,11 @@ import (
 
 // CheckIncExt is oracle 1: running IncExt over a random ΔG/ΔD/keyword
 // update stream must leave the extracted relation bag-equal to a fresh
-// extraction on the final state. The fresh side reuses the incremental
+// extraction on the final state, and after every step every selected
+// path IncExt kept cached — for matched and unmatched vertices — must
+// equal a fresh path selection on the graph as it then is (the final
+// relation alone sees a stale walk of an unmatched vertex only if a
+// later ΔD happens to re-match it). The fresh side reuses the incremental
 // extractor's final scheme (ExtractWithScheme) rather than re-running
 // discovery: pattern discovery is statistical and may legitimately
 // pick a different scheme on the updated graph, while extraction under
@@ -45,6 +49,9 @@ func checkIncExt(seed int64, stream Stream, skipDeletes bool) error {
 	for i, st := range stream {
 		if err := drv.step(i, st); err != nil {
 			return err
+		}
+		if err := ex.CheckCachedWalks(); err != nil {
+			return fmt.Errorf("IncExt kept a stale walk at step %d: %w", i, err)
 		}
 		if st.Kind == StepGraph {
 			// The reference graph sees the identical batch; sequential
