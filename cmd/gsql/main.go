@@ -242,10 +242,13 @@ func printTables(env *expr.QueryEnv) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	// One view for the listing (nil, and knowing no base, in real-data
+	// mode without keyed tables).
+	v := env.Cat.Mat.View()
 	for _, n := range names {
-		r := env.Cat.Relation(n)
+		r := env.Cat.RelationIn(v, n)
 		fmt.Printf("  %s (%d rows)", r.Schema, r.Len())
-		if b := matBase(env, n); b != nil {
+		if b := v.Base(n); b != nil {
 			fmt.Printf("  AR=%v", b.AR())
 		}
 		fmt.Println()
@@ -400,15 +403,6 @@ func openDurableStores(env *expr.QueryEnv, dir, fsync string, checkpointEvery in
 		_ = out
 	}
 	return nil
-}
-
-// matBase returns the materialisation for a base, tolerating a nil
-// Materialized (real-data mode without keyed tables).
-func matBase(env *expr.QueryEnv, name string) *core.BaseMaterialization {
-	if env.Cat.Mat == nil {
-		return nil
-	}
-	return env.Cat.Mat.Base(name)
 }
 
 // persistModels writes the trained model pair to path.

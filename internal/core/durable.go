@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semjoin/internal/bin"
@@ -111,9 +112,11 @@ type DurableOptions struct {
 // to adopt.
 type DurableBoot struct {
 	// Base is adopted as the store's state when dir holds no snapshot.
-	// Required for a fresh directory; ignored when a snapshot exists.
+	// Required for a fresh directory; ignored when a snapshot exists. The
+	// store takes over Base.Extractor and the graph it extracts over as
+	// its working state: from then on only the store may touch them.
 	Base *BaseMaterialization
-	// Graph is the graph Base extracts over (required with Base).
+	// Graph, when set, must be the graph Base extracts over.
 	Graph *graph.Graph
 	// Models and Cfg rebuild extractors when loading a snapshot.
 	Models Models
@@ -121,6 +124,21 @@ type DurableBoot struct {
 	// Matcher drives HER during replay and future updates. Defaults to
 	// Base.Spec.Matcher when nil.
 	Matcher her.Matcher
+}
+
+// Version is one published state of a store: the graph and the base's
+// (D, f(D,G), h(D,G)) as they were after the update logged at Seq, and
+// nothing of any later one. It is immutable; the store publishes a new
+// one after every update.
+type Version struct {
+	// Seq is the WAL sequence number of the last update the state
+	// contains.
+	Seq uint64
+	// G is a graph.Snapshot of the store's graph.
+	G *graph.Graph
+	// Base carries D (Spec.D), h(D,G) (Extracted) and, for the joins,
+	// f(D,G) with its tid index and the state's generation.
+	Base *BaseMaterialization
 }
 
 // DurableStore is a BaseMaterialization with write-ahead-logged update
@@ -133,30 +151,36 @@ type DurableBoot struct {
 // copy of the graph, so recovery never depends on (or repairs) state
 // shared with other bases.
 //
-// Reads and updates are coordinated by an RWMutex: View (or the set's
-// RLockAll) for query execution, exclusive internally for the update
-// streams.
+// Readers never wait for a writer. Update streams, checkpoints and Close
+// serialise on mu and work on the store's private state — the extractor
+// and its graph; what anyone else reads is the Version behind cur, which
+// a writer replaces, whole, after each update (DESIGN.md "Versions: who
+// may write what").
 type DurableStore struct {
-	mu   sync.RWMutex
+	mu  sync.Mutex // writers only
+	cur atomic.Pointer[Version]
+
 	dir  string
 	fs   wal.FS
 	log  *wal.Log
-	base *BaseMaterialization
-	g    *graph.Graph
+	base *BaseMaterialization // the writer's side of the last published version
+	g    *graph.Graph         // the working graph base.Extractor extracts over
 
 	models  Models
 	cfg     Config
 	matcher her.Matcher
 	opts    DurableOptions
 
-	snapSeq         uint64 // seq covered by the newest snapshot
+	snapSeq         atomic.Uint64 // seq covered by the newest snapshot
 	sinceCheckpoint int
 	replaySkipped   int // replayed records whose apply failed (deterministic no-ops)
 	checkpointErr   error
 
-	snapSec   *obs.Histogram
-	snapTotal *obs.Counter
-	replayed  *obs.Counter
+	snapSec    *obs.Histogram
+	snapTotal  *obs.Counter
+	replayed   *obs.Counter
+	versionSeq *obs.Gauge
+	publishSec *obs.Histogram
 }
 
 const (
@@ -200,11 +224,14 @@ func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts Durable
 		return nil, err
 	}
 	if s.base == nil {
-		if boot.Base == nil || boot.Graph == nil {
+		if boot.Base == nil || boot.Base.Extractor == nil {
 			return nil, fmt.Errorf("core: durable dir %s has no snapshot and no boot state was supplied", dir)
 		}
+		if boot.Graph != nil && boot.Graph != boot.Base.Extractor.g {
+			return nil, fmt.Errorf("core: durable boot: Graph is not the graph Base extracts over")
+		}
 		s.base = boot.Base
-		s.g = boot.Graph
+		s.g = boot.Base.Extractor.g
 	}
 	if s.matcher == nil {
 		s.matcher = s.base.Spec.Matcher
@@ -212,8 +239,13 @@ func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts Durable
 	if s.matcher == nil {
 		return nil, fmt.Errorf("core: durable store needs a matcher (boot.Matcher or Base.Spec.Matcher)")
 	}
-	s.base.Spec.Matcher = s.matcher
-	s.snapSeq = seq
+	s.snapSeq.Store(seq)
+	store := ""
+	if d := s.base.Extractor.s; d != nil {
+		store = d.Schema.Name
+	}
+	s.versionSeq = opts.Reg.Gauge("core_version_seq", "store", store)
+	s.publishSec = opts.Reg.Histogram("core_version_publish_seconds", nil, "store", store)
 
 	// 2. WAL recovery.
 	walSpan := root.StartChild("wal_open")
@@ -236,6 +268,9 @@ func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts Durable
 		l.Close()
 		return nil, err
 	}
+	// One version for the whole recovery: nobody could read the states
+	// in between.
+	s.publish(ctx, l.LastSeq())
 	obs.LoggerFromContext(ctx).Info("durable store opened",
 		"dir", dir, "snapshot_seq", seq, "wal_records", len(l.Records()),
 		"replay_skipped", s.replaySkipped, "truncated", l.Info().Truncated)
@@ -417,13 +452,12 @@ func (s *DurableStore) replay(ctx context.Context, snapSeq uint64) error {
 	return nil
 }
 
-// apply decodes one logged update and applies it to the in-memory
+// apply decodes one logged update and applies it to the store's working
 // state. The live path calls it on the record it has just appended and
-// replay on every record past the snapshot, so the two cannot drift;
-// it is also the one place the materialisation's published views are
-// rebound to the extractor's state. Decode failures are impossible for
-// records the store wrote (CRC-verified) and surface like apply
-// failures do.
+// replay on every record past the snapshot, so the two cannot drift.
+// Nothing it changes is visible to a reader before publish. Decode
+// failures are impossible for records the store wrote (CRC-verified) and
+// surface like apply failures do.
 func (s *DurableStore) apply(ctx context.Context, rec wal.Record) (IncStats, error) {
 	ex := s.base.Extractor
 	var st IncStats
@@ -447,16 +481,51 @@ func (s *DurableStore) apply(ctx context.Context, rec wal.Record) (IncStats, err
 	default:
 		err = fmt.Errorf("core: unknown WAL record type %d", rec.Type)
 	}
-	s.base.Spec.D, s.base.Extracted = ex.s, ex.result
 	return st, err
 }
 
+// publish makes the working state, which contains every update up to
+// seq, the store's version: the one place cur is stored to, called
+// directly after the extractor's commit point (Extractor.install) by the
+// live path and once, after the last record, by recovery. The state the
+// extractor installed is immutable and shared as it is; the graph is
+// snapshotted, unless the update left it alone and the last version's
+// snapshot still stands. Readers holding the previous version keep it.
+func (s *DurableStore) publish(ctx context.Context, seq uint64) {
+	start := time.Now()
+	ex := s.base.Extractor
+	g := s.g
+	if prev := s.Version(); prev != nil && prev.G.Mutations() == g.Mutations() {
+		g = prev.G
+	} else {
+		g = g.Snapshot()
+	}
+	s.base = &BaseMaterialization{
+		Spec:      BaseSpec{D: ex.s, AR: s.base.Spec.AR, Matcher: s.matcher},
+		Extractor: ex,
+		Extracted: ex.result,
+		state:     ex.baseState,
+	}
+	s.cur.Store(&Version{Seq: seq, G: g, Base: s.base})
+	took := time.Since(start)
+	s.versionSeq.Set(int64(seq))
+	s.publishSec.Observe(took.Seconds())
+	obs.TraceFromContext(ctx).Phase("incext_publish", start)
+	obs.LoggerFromContext(ctx).Debug("version published", "dir", s.dir, "seq", seq,
+		"publish_ms", float64(took)/float64(time.Millisecond))
+}
+
+// Version returns the store's current version: the one place cur is
+// loaded. A query loads it once (Materialized.View) and reads nothing
+// else of the store.
+func (s *DurableStore) Version() *Version { return s.cur.Load() }
+
 // logThenApply is the write path of every update stream: the encoded
-// update is appended to the log (fsynced per policy), then applied. A
-// logging failure returns before any state changes; an apply failure
-// leaves the record in the log, where replay reproduces the same
-// deterministic no-op. It returns what the step did and h(D,G) as the
-// step left it.
+// update is appended to the log (fsynced per policy), applied, and the
+// resulting state published. A logging failure returns before any state
+// changes; an apply failure leaves the record in the log, where replay
+// reproduces the same deterministic no-op, and the state as it was. It
+// returns what the step did and h(D,G) as the step left it.
 func (s *DurableStore) logThenApply(ctx context.Context, typ byte, payload []byte, encErr error) (IncStats, *rel.Relation, error) {
 	if encErr != nil {
 		return IncStats{}, nil, encErr
@@ -468,6 +537,7 @@ func (s *DurableStore) logThenApply(ctx context.Context, typ byte, payload []byt
 		return IncStats{}, nil, err
 	}
 	st, err := s.apply(ctx, wal.Record{Seq: seq, Type: typ, Payload: payload})
+	s.publish(ctx, seq)
 	s.afterUpdateLocked(ctx)
 	return st, s.base.Extracted, err
 }
@@ -512,7 +582,9 @@ func (s *DurableStore) UpdateKeywordsContext(ctx context.Context, keywords []str
 	return out, nil
 }
 
-// afterUpdateLocked handles auto-checkpointing. Held under s.mu.
+// afterUpdateLocked handles auto-checkpointing. Held under s.mu, which
+// keeps other writers out for the length of the snapshot write and no
+// reader.
 func (s *DurableStore) afterUpdateLocked(ctx context.Context) {
 	s.sinceCheckpoint++
 	if s.opts.CheckpointEvery <= 0 || s.sinceCheckpoint < s.opts.CheckpointEvery {
@@ -528,7 +600,8 @@ func (s *DurableStore) afterUpdateLocked(ctx context.Context) {
 }
 
 // Checkpoint writes a compacted snapshot of the current state and
-// truncates the log prefix it covers.
+// truncates the log prefix it covers. Update streams wait for it;
+// queries do not.
 func (s *DurableStore) Checkpoint(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -589,7 +662,7 @@ func (s *DurableStore) checkpointLocked(ctx context.Context) error {
 			}
 		}
 	}
-	s.snapSeq = seq
+	s.snapSeq.Store(seq)
 	s.sinceCheckpoint = 0
 	s.checkpointErr = nil
 	elapsed := time.Since(start)
@@ -601,20 +674,13 @@ func (s *DurableStore) checkpointLocked(ctx context.Context) error {
 	return nil
 }
 
-// View runs fn under the store's read lock; queries over the base use
-// it so update streams cannot mutate extractor state mid-scan.
-func (s *DurableStore) View(fn func(b *BaseMaterialization) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return fn(s.base)
-}
+// Base returns the base as of the store's current version. The value is
+// immutable: a later update publishes another.
+func (s *DurableStore) Base() *BaseMaterialization { return s.Version().Base }
 
-// Base returns the wrapped materialisation. Callers must hold the
-// read lock (View/RLockAll) when updates may run concurrently.
-func (s *DurableStore) Base() *BaseMaterialization { return s.base }
-
-// Graph returns the store's graph (same locking caveat as Base).
-func (s *DurableStore) Graph() *graph.Graph { return s.g }
+// Graph returns the graph as of the store's current version — a
+// snapshot that no later update changes.
+func (s *DurableStore) Graph() *graph.Graph { return s.Version().G }
 
 // Dir returns the durable directory.
 func (s *DurableStore) Dir() string { return s.dir }
@@ -623,11 +689,7 @@ func (s *DurableStore) Dir() string { return s.dir }
 func (s *DurableStore) LastSeq() uint64 { return s.log.LastSeq() }
 
 // SnapshotSeq returns the seq covered by the newest snapshot.
-func (s *DurableStore) SnapshotSeq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snapSeq
-}
+func (s *DurableStore) SnapshotSeq() uint64 { return s.snapSeq.Load() }
 
 // WALInfo returns the recovery details from Open.
 func (s *DurableStore) WALInfo() wal.RecoveryInfo { return s.log.Info() }
@@ -639,12 +701,13 @@ func (s *DurableStore) ReplaySkipped() int { return s.replaySkipped }
 // LastCheckpointError returns the most recent auto-checkpoint failure,
 // nil once a checkpoint succeeds.
 func (s *DurableStore) LastCheckpointError() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.checkpointErr
 }
 
-// Close syncs and closes the log. The store must not be used after.
+// Close syncs and closes the log. The store takes no update after; its
+// last version stays readable.
 func (s *DurableStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -698,37 +761,6 @@ func (ds *DurableSet) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RLockAll takes every store's read lock (in sorted name order, so
-// lock acquisition is totally ordered against other RLockAll callers
-// and against per-store writers) and returns the release function.
-// Query execution paths wrap themselves in it so updates streaming
-// into any durable base cannot race an in-flight scan.
-//
-//lint:allow lockorder lock-ownership transfer: every st.mu.RLock is released by the returned closure, in reverse order
-func (ds *DurableSet) RLockAll() func() {
-	if ds == nil {
-		return func() {}
-	}
-	ds.mu.RLock()
-	names := make([]string, 0, len(ds.stores))
-	for n := range ds.stores {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	locked := make([]*DurableStore, 0, len(names))
-	for _, n := range names {
-		st := ds.stores[n]
-		st.mu.RLock()
-		locked = append(locked, st)
-	}
-	ds.mu.RUnlock()
-	return func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i].mu.RUnlock()
-		}
-	}
 }
 
 // Checkpoint checkpoints one named store, or every open store when

@@ -26,6 +26,14 @@ import (
 // equivalence checkable against a pristine control.
 func durableWorld(t testing.TB) (*world, *BaseMaterialization) {
 	t.Helper()
+	w, m := durableMaterialized(t)
+	return w, m.Base("product")
+}
+
+// durableMaterialized is durableWorld keeping the Materialized, for
+// tests that read through views.
+func durableMaterialized(t testing.TB) (*world, *Materialized) {
+	t.Helper()
 	w := buildWorld()
 	m, err := BuildMaterialized(w.g, w.models, map[string]BaseSpec{
 		"product": {D: w.products, AR: []string{"company", "country"}, Matcher: oracle(w)},
@@ -33,7 +41,7 @@ func durableWorld(t testing.TB) (*world, *BaseMaterialization) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, m.Base("product")
+	return w, m
 }
 
 func durableBoot(w *world, b *BaseMaterialization) DurableBoot {
@@ -43,6 +51,8 @@ func durableBoot(w *world, b *BaseMaterialization) DurableBoot {
 // applier is the update-stream surface shared by DurableStore and the
 // in-memory control run.
 type applier interface {
+	// Graph is the graph as the last update left it.
+	Graph() *graph.Graph
 	ApplyGraphUpdate(delta graph.Batch) (IncStats, error)
 	ApplyRelationUpdate(d *rel.Relation) (IncStats, error)
 	UpdateKeywords(keywords []string) (*rel.Relation, error)
@@ -51,6 +61,8 @@ type applier interface {
 // memStore drives a plain BaseMaterialization's extractor through the
 // same update surface: the control a durable store is compared with.
 type memStore struct{ b *BaseMaterialization }
+
+func (m *memStore) Graph() *graph.Graph { return m.b.Extractor.g }
 
 func (m *memStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 	return m.b.Extractor.ApplyGraphUpdate(delta, m.b.Spec.Matcher)
@@ -68,10 +80,10 @@ func (m *memStore) UpdateKeywords(keywords []string) (*rel.Relation, error) {
 // step index against an identical state yields an identical update
 // (RandomMixedBatch is seeded per step), so the script can replay
 // against controls and crash survivors alike.
-func applyScriptStep(st applier, g *graph.Graph, products *rel.Relation, i int) error {
+func applyScriptStep(st applier, products *rel.Relation, i int) error {
 	switch i % 4 {
 	case 0, 1:
-		_, err := st.ApplyGraphUpdate(graph.RandomMixedBatch(g, mat.NewRNG(uint64(1000+i)), 4))
+		_, err := st.ApplyGraphUpdate(graph.RandomMixedBatch(st.Graph(), mat.NewRNG(uint64(1000+i)), 4))
 		return err
 	case 2:
 		d := products.Clone()
@@ -85,10 +97,10 @@ func applyScriptStep(st applier, g *graph.Graph, products *rel.Relation, i int) 
 	}
 }
 
-func applySteps(t *testing.T, st applier, g *graph.Graph, products *rel.Relation, from, to int) {
+func applySteps(t *testing.T, st applier, products *rel.Relation, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := applyScriptStep(st, g, products, i); err != nil {
+		if err := applyScriptStep(st, products, i); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -141,11 +153,11 @@ func TestDurableFreshOpenLogsAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	applySteps(t, st, st.Graph(), w1.products, 0, n)
+	applySteps(t, st, w1.products, 0, n)
 
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
-	applySteps(t, ctl, wc.g, wc.products, 0, n)
+	applySteps(t, ctl, wc.products, 0, n)
 	assertSameState(t, "live vs control", st.Base(), bc, st.Graph(), wc.g)
 
 	if got := st.LastSeq(); got != n {
@@ -170,8 +182,8 @@ func TestDurableFreshOpenLogsAndReplays(t *testing.T) {
 	assertSameState(t, "replayed vs control", st2.Base(), bc, st2.Graph(), wc.g)
 
 	// The recovered store keeps working: one more step on both sides.
-	applySteps(t, st2, st2.Graph(), w2.products, n, n+1)
-	applySteps(t, ctl, wc.g, wc.products, n, n+1)
+	applySteps(t, st2, w2.products, n, n+1)
+	applySteps(t, ctl, wc.products, n, n+1)
 	assertSameState(t, "post-recovery update", st2.Base(), bc, st2.Graph(), wc.g)
 }
 
@@ -203,7 +215,7 @@ func TestDurableCheckpointCompactsAndReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 6)
+	applySteps(t, st, w1.products, 0, 6)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +228,7 @@ func TestDurableCheckpointCompactsAndReopens(t *testing.T) {
 	if segs := dirNames(t, fs, "db", "wal-"); len(segs) != 1 {
 		t.Fatalf("log not compacted, segments: %v", segs)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 6, 10)
+	applySteps(t, st, w1.products, 6, 10)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +244,7 @@ func TestDurableCheckpointCompactsAndReopens(t *testing.T) {
 
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
-	applySteps(t, ctl, wc.g, wc.products, 0, 10)
+	applySteps(t, ctl, wc.products, 0, 10)
 	assertSameState(t, "snapshot+suffix vs control", st2.Base(), bc, st2.Graph(), wc.g)
 
 	// A second checkpoint supersedes the first snapshot.
@@ -258,7 +270,7 @@ func TestDurableCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 8) // commits at 3 and 6
+	applySteps(t, st, w1.products, 0, 8) // commits at 3 and 6
 	durable := st.log.SyncedSeq()
 	if durable != 6 {
 		t.Fatalf("SyncedSeq = %d, want 6", durable)
@@ -276,7 +288,7 @@ func TestDurableCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	}
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
-	applySteps(t, ctl, wc.g, wc.products, 0, int(durable))
+	applySteps(t, ctl, wc.products, 0, int(durable))
 	assertSameState(t, "crash survivor vs synced-prefix control", st2.Base(), bc, st2.Graph(), wc.g)
 }
 
@@ -310,7 +322,7 @@ func TestDurableCrashIntraRecordOffsets(t *testing.T) {
 	}
 	snap(0)
 	for i := 0; i < n; i++ {
-		if err := applyScriptStep(st, st.Graph(), w1.products, i); err != nil {
+		if err := applyScriptStep(st, w1.products, i); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		snap(i + 1)
@@ -367,7 +379,7 @@ func TestDurableKeywordUpdateAfterSnapshotReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 2)
+	applySteps(t, st, w1.products, 0, 2)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +398,7 @@ func TestDurableKeywordUpdateAfterSnapshotReopen(t *testing.T) {
 
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
-	applySteps(t, ctl, wc.g, wc.products, 0, 2)
+	applySteps(t, ctl, wc.products, 0, 2)
 	if _, err := ctl.UpdateKeywords([]string{"country"}); err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +417,11 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	applySteps(t, st, st.Graph(), w1.products, 0, 3)
+	applySteps(t, st, w1.products, 0, 3)
 	if got := st.SnapshotSeq(); got != 3 {
 		t.Fatalf("after 3 updates SnapshotSeq = %d, want 3", got)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 3, 6)
+	applySteps(t, st, w1.products, 3, 6)
 	if got := st.SnapshotSeq(); got != 6 {
 		t.Fatalf("after 6 updates SnapshotSeq = %d, want 6", got)
 	}
@@ -432,11 +444,11 @@ func TestDurableReplayGapDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 4)
+	applySteps(t, st, w1.products, 0, 4)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 4, 6)
+	applySteps(t, st, w1.products, 4, 6)
 	st.Close()
 	for _, n := range dirNames(t, fs, "db", "snap-") {
 		if err := fs.Remove("db/" + n); err != nil {
@@ -460,7 +472,7 @@ func TestDurableCorruptSnapshotFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 2)
+	applySteps(t, st, w1.products, 0, 2)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +509,7 @@ func TestDurableCheckpointRestoresMatchState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 7)
+	applySteps(t, st, w1.products, 0, 7)
 	before := st.Base().Extractor
 	if sameRelation(before.MatchRelation(), built) {
 		t.Fatal("the script left f(D,G) at its build-time value; the test would prove nothing")
@@ -576,11 +588,11 @@ func TestDurableOnRealFilesystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 5)
+	applySteps(t, st, w1.products, 0, 5)
 	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 5, 8)
+	applySteps(t, st, w1.products, 5, 8)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -593,12 +605,12 @@ func TestDurableOnRealFilesystem(t *testing.T) {
 	defer st2.Close()
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
-	applySteps(t, ctl, wc.g, wc.products, 0, 8)
+	applySteps(t, ctl, wc.products, 0, 8)
 	assertSameState(t, "osfs reopen vs control", st2.Base(), bc, st2.Graph(), wc.g)
 }
 
 // TestDurableSetLifecycle covers the catalog-level registry: Put/Get,
-// sorted Names, RLockAll release, checkpoint-all and Close.
+// sorted Names, checkpoint-all and Close.
 func TestDurableSetLifecycle(t *testing.T) {
 	ctx := context.Background()
 	ds := NewDurableSet()
@@ -620,10 +632,7 @@ func TestDurableSetLifecycle(t *testing.T) {
 	if names := ds.Names(); len(names) != 1 || names[0] != "product" {
 		t.Fatalf("Names = %v", names)
 	}
-	applySteps(t, st, st.Graph(), w1.products, 0, 2)
-	release := ds.RLockAll()
-	_ = st.Base().Extracted.Len()
-	release()
+	applySteps(t, st, w1.products, 0, 2)
 	if err := ds.Checkpoint(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +650,6 @@ func TestDurableSetLifecycle(t *testing.T) {
 	}
 	// Nil-receiver safety for the query path.
 	var nilSet *DurableSet
-	nilSet.RLockAll()()
 	if nilSet.Get("x") != nil || nilSet.Names() != nil || nilSet.Close() != nil {
 		t.Fatal("nil DurableSet misbehaved")
 	}

@@ -162,8 +162,7 @@ func (e *Extractor) applyGraphUpdate(ctx context.Context, delta graph.Batch, mat
 		newRows = append(newRows, t)
 	}
 	newRows = append(newRows, rows...)
-	e.result.Tuples = newRows
-	e.install(e.s, newMatches, e.result)
+	e.install(e.s, newMatches, &rel.Relation{Schema: e.result.Schema, Tuples: newRows})
 	trace.Phase("incext_commit", phase)
 	return st, nil
 }
@@ -311,8 +310,7 @@ func (e *Extractor) applyRelationUpdate(newS *rel.Relation, matcher her.Matcher)
 	newRows = append(newRows, rows...)
 
 	// Commit point: nothing below can fail.
-	e.result.Tuples = newRows
-	e.install(newS, newMatches, e.result)
+	e.install(newS, newMatches, &rel.Relation{Schema: e.result.Schema, Tuples: newRows})
 	return IncStats{Affected: len(fresh), Removed: removed}, nil
 }
 

@@ -23,25 +23,35 @@ import (
 // plus vid plus A. When src's schema is unknown before Open (an opaque
 // upstream semantic join) it falls back to materialising src first.
 func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []string) (rel.Iterator, error) {
-	b := m.bases[base]
+	return m.View().StaticEnrichIter(base, src, a)
+}
+
+// StaticEnrichIter is Materialized.StaticEnrichIter over this view's
+// state of the base.
+func (v *View) StaticEnrichIter(base string, src rel.Iterator, a []string) (rel.Iterator, error) {
+	b := v.Base(base)
 	if b == nil {
 		return nil, fmt.Errorf("core: no materialisation for base %q", base)
 	}
-	if !m.WellBehavedKeywords(base, a) {
+	if !v.WellBehavedKeywords(base, a) {
 		return nil, fmt.Errorf("core: keywords %v not covered by AR(%s)=%v", a, base, b.Spec.AR)
 	}
 	s := src.Schema()
 	if s == nil {
 		return rel.NewApply("e-join static "+base, []rel.Iterator{src},
 			func(ctx context.Context, in []*rel.Relation) (*rel.Relation, string, error) {
-				r, err := m.StaticEnrich(base, in[0], a)
+				it, err := v.StaticEnrichIter(base, rel.NewScan(in[0]), a)
+				if err != nil {
+					return nil, "", err
+				}
+				r, err := rel.Materialize(ctx, it)
 				return r, "", err
 			}), nil
 	}
 	// Both pre-computed relations hash once at Open inside the natural
 	// joins, match rows gather column-wise, and the projection is a
 	// column-header pick.
-	j := b.Extractor.enrich(src)
+	j := b.read().enrich(src)
 	// Project to S's attributes plus vid plus the requested keywords,
 	// deduplicating: S may already carry vid or some keyword column from
 	// an earlier (chained) enrichment join.
@@ -63,15 +73,25 @@ func (m *Materialized) StaticEnrichIter(base string, src rel.Iterator, a []strin
 // gathered at Open (match restriction needs whole relations), the
 // joined pairs stream out, and the operator's plan note records
 // whether the gL connectivity cache answered the query: an entry under
-// cacheKey computed at the graph's current mutation count and both
-// bases' current generations is a hit, anything older a miss. The
+// cacheKey computed at the mutation count of the graph read and the
+// generations of both bases' states is a hit, anything else a miss. The
 // per-vertex BFS fan-out runs on par workers (par <= 0 means
 // GOMAXPROCS); the gL cache is singleflighted, so concurrent queries
 // sharing cacheKey compute the connectivity set exactly once.
 func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 string, s2 rel.Iterator, k, par int, cacheKey string) rel.Iterator {
+	return m.View().StaticLinkIter(base1, s1, base2, s2, k, par, cacheKey)
+}
+
+// StaticLinkIter is Materialized.StaticLinkIter over this view's graph
+// and states. The gL cache is the materialisation's, shared by every
+// view: a view that is no longer the newest finds the entries of newer
+// ones stamped otherwise, computes its own connectivity and leaves it in
+// their place.
+func (v *View) StaticLinkIter(base1 string, s1 rel.Iterator, base2 string, s2 rel.Iterator, k, par int, cacheKey string) rel.Iterator {
+	m := v.m
 	return rel.NewGenerate("l-join static", []rel.Iterator{s1, s2},
 		func(ctx context.Context, in []*rel.Batch) (rel.Generated, error) {
-			b1, b2 := m.bases[base1], m.bases[base2]
+			b1, b2 := v.Base(base1), v.Base(base2)
 			if b1 == nil || b2 == nil {
 				return rel.Generated{}, fmt.Errorf("core: no materialisation for %q/%q", base1, base2)
 			}
@@ -79,10 +99,10 @@ func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 strin
 			m1 := restrictMatches(b1, r1)
 			m2 := restrictMatches(b2, r2)
 			if cacheKey != "" {
-				stamp := glStamp{m.G.Mutations(), b1.Extractor.gen, b2.Extractor.gen}
+				stamp := glStamp{v.G.Mutations(), b1.read().gen, b2.read().gen}
 				pairs, hit, err := m.gl.getOrCompute(ctx, cacheKey, stamp, func() (glPairs, error) {
 					computeStart := time.Now()
-					out, err := connectedPairs(ctx, m.G, m1, m2, k, par)
+					out, err := connectedPairs(ctx, v.G, m1, m2, k, par)
 					obs.TraceFromContext(ctx).Phase("gl_compute", computeStart)
 					return out, err
 				})
@@ -100,7 +120,7 @@ func (m *Materialized) StaticLinkIter(base1 string, s1 rel.Iterator, base2 strin
 				}
 				return g, err
 			}
-			reach, workers, err := reachSets(ctx, m.G, m1, k, par)
+			reach, workers, err := reachSets(ctx, v.G, m1, k, par)
 			if err != nil {
 				return rel.Generated{}, err
 			}

@@ -102,10 +102,10 @@ func enrichMatched(ctx context.Context, s *rel.Relation, g *graph.Graph, models 
 	return ex.Enriched()
 }
 
-// enrich is the three-way natural join src ⋈ f(S,G) ⋈ h(S,G) over the
-// extractor's current state; src is S or a selection of it.
-func (e *Extractor) enrich(src rel.Iterator) rel.Iterator {
-	return rel.NewNaturalJoin(rel.NewNaturalJoin(src, e.matchRel), e.result)
+// enrich is the three-way natural join src ⋈ f(S,G) ⋈ h(S,G) over one
+// state; src is S or a selection of it.
+func (st *baseState) enrich(src rel.Iterator) rel.Iterator {
+	return rel.NewNaturalJoin(rel.NewNaturalJoin(src, st.matchRel), st.result)
 }
 
 // Enriched returns every matched tuple of S with its vertex id and
@@ -136,25 +136,64 @@ type BaseSpec struct {
 // extracted relation h(D,G) for the reference keywords AR, and a cache gL
 // of link-join connectivity relations — so well-behaved gSQL queries run
 // as plain relational joins without invoking HER or RExt online.
+//
+// A base may be attached to a DurableStore (Attach); its state, and the
+// graph, are then whatever that store last published. A query reads
+// through one View, which resolves every base and the graph once; a
+// caller that reads more than one name does the same.
 type Materialized struct {
-	G      *graph.Graph
+	// g is the graph the bases were built over. It is what a View reads
+	// while no store is attached; once one is, g is that store's working
+	// graph (or, after a snapshot recovery, nobody's) and only names the
+	// graph the catalog's aliases refer to (View.Resolve).
+	g      *graph.Graph
 	models Models
 	cfg    Config
 
 	bases map[string]*BaseMaterialization
-	gl    *glCache
+	// stores are the attached stores by base name. graphStore, the last
+	// attached, names the working graph a View reads the published
+	// state of (View.G).
+	stores     map[string]*DurableStore
+	graphStore *DurableStore
+	gl         *glCache
 }
 
 // BaseMaterialization holds the pre-computation for one base relation.
-// The Extractor owns the state — D, f(D,G) and h(D,G) change together
-// at its commit point, and the joins read them from it. Spec.D and
-// Extracted publish the extractor's D and h(D,G) to callers outside
-// the package; a DurableStore rebinds them after every update.
+// The Extractor owns D, f(D,G) and h(D,G), which change together at its
+// commit point; Spec.D and Extracted are the D and h(D,G) of one state.
+//
+// There are two kinds of value. One a DurableStore published
+// (Version.Base) is immutable: Spec.D, Extracted and the f(D,G) the joins
+// read beside them are the version's state, and Extractor is the store
+// writer's — a reader may ask it what it measured (Timings, Scheme) and
+// must not read state through it or update through it. Any other is the
+// value its base was built with, and whoever holds it is the writer:
+// updates go through Extractor, and the joins read the extractor's
+// current state.
 type BaseMaterialization struct {
 	Spec      BaseSpec
 	Extractor *Extractor
 	Extracted *rel.Relation // h(D,G)
+	// state is the published state; nil for a base no store publishes.
+	state *baseState
 }
+
+// read returns the state the joins read: the one place that tells the
+// two kinds apart.
+func (b *BaseMaterialization) read() *baseState {
+	if b.state != nil {
+		return b.state
+	}
+	return b.Extractor.baseState
+}
+
+// Matches returns f(D,G) of the state b holds.
+func (b *BaseMaterialization) Matches() []her.Match { return b.read().matches }
+
+// MatchRelation returns f(D,G) of the state b holds as a relation
+// joinable with D (see Extractor.MatchRelation).
+func (b *BaseMaterialization) MatchRelation() *rel.Relation { return b.read().matchRel }
 
 // AR returns the reference keywords for this base.
 func (b *BaseMaterialization) AR() []string { return b.Spec.AR }
@@ -163,7 +202,7 @@ func (b *BaseMaterialization) AR() []string { return b.Spec.AR }
 // relation: HER matching and RExt extraction with keywords AR.
 func BuildMaterialized(g *graph.Graph, models Models, specs map[string]BaseSpec, cfg Config) (*Materialized, error) {
 	m := &Materialized{
-		G: g, models: models, cfg: cfg,
+		g: g, models: models, cfg: cfg,
 		bases: map[string]*BaseMaterialization{},
 		gl:    newGLCache(),
 	}
@@ -187,18 +226,128 @@ func BuildMaterialized(g *graph.Graph, models Models, specs map[string]BaseSpec,
 	return m, nil
 }
 
-// Base returns the materialisation for a base relation, or nil.
-func (m *Materialized) Base(name string) *BaseMaterialization { return m.bases[name] }
+// View is what one query reads: the graph and every base's state, each
+// attached store's taken from the one version it had published when the
+// view was made. A view never changes; a query that plans and drains
+// against one view sees one state of each store however many updates
+// commit meanwhile.
+type View struct {
+	m *Materialized
+	// G is the graph: the published snapshot of the attached stores'
+	// working graph, or the materialisation's own graph when no store is
+	// attached.
+	G   *graph.Graph
+	seq uint64
+	// pinned holds the version of each attached store, by base name.
+	pinned map[string]*Version
+}
 
-// SetBase replaces (or installs) the materialisation for one base —
-// the gSQL OPEN statement uses it to rebind a base to its recovered
-// durable state.
+// View resolves the current state once. A nil Materialized has a nil
+// view, which knows no base and resolves every graph to itself.
+func (m *Materialized) View() *View {
+	if m == nil {
+		return nil
+	}
+	v := &View{m: m, G: m.g}
+	if len(m.stores) == 0 {
+		return v
+	}
+	v.pinned = make(map[string]*Version, len(m.stores))
+	// Stores opened over one working graph (cmd/gsql -data-dir opens one
+	// per base) each publish it after their own updates only, so the
+	// graph is the most advanced of their snapshots: the working graph as
+	// the last update through any of them left it. A store that recovered
+	// a graph of its own from a snapshot shares it with nobody; between
+	// those the last attached decides.
+	var g *graph.Graph
+	for name, st := range m.stores {
+		ver := st.Version()
+		v.pinned[name] = ver
+		v.seq += ver.Seq
+		if st.g == m.graphStore.g && (g == nil || ver.G.Mutations() > g.Mutations()) {
+			g = ver.G
+		}
+	}
+	v.G = g
+	return v
+}
+
+// Seq returns the number of logged updates the view contains: the WAL
+// sequence number of the version it pinned, summed over the attached
+// stores. With one store (DESIGN.md: one store per graph domain) that is
+// the store's sequence number, and the view holds exactly the updates
+// logged up to it. 0 when no store is attached.
+func (v *View) Seq() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.seq
+}
+
+// Base returns the materialisation of a base as the view holds it, or
+// nil.
+func (v *View) Base(name string) *BaseMaterialization {
+	if v == nil {
+		return nil
+	}
+	if ver := v.pinned[name]; ver != nil {
+		return ver.Base
+	}
+	return v.m.bases[name]
+}
+
+// Relation returns D of a base as the store it is attached to published
+// it. A base no store publishes has none here: its D is the catalog's
+// to hold.
+func (v *View) Relation(name string) *rel.Relation {
+	if v == nil || v.pinned[name] == nil {
+		return nil
+	}
+	return v.pinned[name].Base.Spec.D
+}
+
+// Resolve maps a graph a catalog holds to the graph to read: the view's
+// for the graph the materialisation was built over (whatever name the
+// catalog gives it), g itself for any other.
+func (v *View) Resolve(g *graph.Graph) *graph.Graph {
+	if v != nil && g != nil && g == v.m.g {
+		return v.G
+	}
+	return g
+}
+
+// Base returns the current materialisation of one base, or nil. Reading
+// two bases, or a base and the graph, takes a View: two calls here can
+// straddle an update.
+func (m *Materialized) Base(name string) *BaseMaterialization {
+	if st := m.stores[name]; st != nil {
+		return st.Version().Base
+	}
+	return m.bases[name]
+}
+
+// SetBase replaces (or installs) the materialisation for one base that
+// no store publishes.
 func (m *Materialized) SetBase(name string, b *BaseMaterialization) { m.bases[name] = b }
+
+// Attach binds a base to the durable store that now owns its state:
+// views made from here on read the base, and the graph, from what the
+// store has published. The gSQL OPEN statement calls it. Stores that
+// share a working graph are not kept coherent beyond the graph itself: an
+// update through one re-extracts that one's base only (DESIGN.md
+// "Durability domains are per base").
+func (m *Materialized) Attach(name string, st *DurableStore) {
+	if m.stores == nil {
+		m.stores = map[string]*DurableStore{}
+	}
+	m.stores[name] = st
+	m.graphStore = st
+}
 
 // WellBehavedKeywords reports whether A ⊆ AR for the named base relation
 // (condition (1) of well-behaved enrichment joins).
-func (m *Materialized) WellBehavedKeywords(base string, a []string) bool {
-	b := m.bases[base]
+func (v *View) WellBehavedKeywords(base string, a []string) bool {
+	b := v.Base(base)
 	if b == nil {
 		return false
 	}
@@ -268,7 +417,7 @@ func restrictMatches(b *BaseMaterialization, s *rel.Batch) []her.Match {
 	if keyCol < 0 {
 		return nil
 	}
-	byTID := b.Extractor.tidMatch
+	byTID := b.read().tidMatch
 	var out []her.Match
 	keys := s.Col(keyCol)
 	for i, n := 0, s.Rows(); i < n; i++ {

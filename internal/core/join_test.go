@@ -196,10 +196,10 @@ func TestStaticEnrichRejectsUncoveredKeywords(t *testing.T) {
 	if _, err := m.StaticEnrich("product", w.products, []string{"ceo"}); err == nil {
 		t.Fatal("keywords outside AR must be rejected (not well-behaved)")
 	}
-	if m.WellBehavedKeywords("product", []string{"company"}) != true {
+	if m.View().WellBehavedKeywords("product", []string{"company"}) != true {
 		t.Fatal("company ⊆ AR")
 	}
-	if m.WellBehavedKeywords("nosuch", []string{"company"}) {
+	if m.View().WellBehavedKeywords("nosuch", []string{"company"}) {
 		t.Fatal("unknown base cannot be well-behaved")
 	}
 }

@@ -122,7 +122,7 @@ func TestSaveLoadBaseRoundTrip(t *testing.T) {
 		t.Fatal("AR changed")
 	}
 	// The loaded materialisation answers static joins identically.
-	m2 := &Materialized{G: w.g, bases: map[string]*BaseMaterialization{"product": loaded},
+	m2 := &Materialized{g: w.g, bases: map[string]*BaseMaterialization{"product": loaded},
 		gl: newGLCache()}
 	got, err := m2.StaticEnrich("product", w.products, []string{"company"})
 	if err != nil {

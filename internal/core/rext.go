@@ -173,6 +173,28 @@ type wEntry struct {
 	endVec   mat.Vector // xL(ρ.vl), L2-normalised word embedding
 }
 
+// baseState is one materialised state of a base: the reference tuples S
+// (nil for type extraction), the HER matches f(S,G) and the extracted
+// relation h(S,G) (nil until Extract), with the read structures derived
+// from them. It is immutable once install has built it, so a reader that
+// holds one — through a published Version — may use it while the
+// extractor moves on.
+type baseState struct {
+	s       *rel.Relation
+	matches []her.Match
+	result  *rel.Relation
+	// vertexTuple maps matched vertex -> tuple index (first match wins).
+	vertexTuple map[graph.VertexID]int
+	// tidMatch maps a tuple id (as rendered by Value.String) to its match.
+	tidMatch map[string]her.Match
+	// matchRel is f(S,G) as a relation joinable with S (nil without S).
+	matchRel *rel.Relation
+	// gen identifies this state among all states of all extractors in
+	// the process: what is derived from the state records the gen it was
+	// built at and is out of date once the extractor holds another.
+	gen uint64
+}
+
 // Extractor runs RExt against one graph and holds the caches (selected
 // paths, refined clusters, match relation) that Algorithm 1 and IncExt
 // reuse.
@@ -187,23 +209,10 @@ type Extractor struct {
 	// diagnosable error at its first use.
 	initErr error
 
-	// The materialised state: reference tuples S (nil for type
-	// extraction), the HER matches f(S,G) and the extracted relation
-	// h(S,G) (nil until Extract). install is their only writer; the
-	// fields after them are derived there, once per state change.
-	s       *rel.Relation
-	matches []her.Match
-	result  *rel.Relation
-	// vertexTuple maps matched vertex -> tuple index (first match wins).
-	vertexTuple map[graph.VertexID]int
-	// tidMatch maps a tuple id (as rendered by Value.String) to its match.
-	tidMatch map[string]her.Match
-	// matchRel is f(S,G) as a relation joinable with S (nil without S).
-	matchRel *rel.Relation
-	// gen identifies this state among all states of all extractors in
-	// the process: what is derived from the state records the gen it was
-	// built at and is out of date once gen has moved.
-	gen uint64
+	// The materialised state, replaced as a whole by install (its only
+	// writer) and never changed afterwards; e.s, e.matches, e.result and
+	// the rest are read through it.
+	*baseState
 
 	mu        sync.Mutex
 	pathCache map[graph.VertexID][]graph.Path
@@ -242,6 +251,7 @@ func NewExtractor(g *graph.Graph, models Models, cfg Config) *Extractor {
 		g:         g,
 		models:    models,
 		cfg:       cfg.withDefaults(),
+		baseState: &baseState{},
 		pathCache: make(map[graph.VertexID][]graph.Path),
 		valueVecs: make(map[string]mat.Vector),
 	}
@@ -272,24 +282,28 @@ func (e *Extractor) MatchRelation() *rel.Relation { return e.matchRel }
 var stateGen atomic.Uint64
 
 // install is the extractor's one commit point: S, the matches and the
-// extracted relation are replaced together, the read structures derived
-// from them are rebuilt, and the generation advances. Callers compute
-// everything that can fail beforehand.
+// extracted relation are replaced together, by a new state with the read
+// structures derived from them and the next generation; the state it
+// replaces is left as it was for whoever still reads it. result must be
+// a relation no earlier state holds. Callers compute everything that can
+// fail beforehand.
 func (e *Extractor) install(s *rel.Relation, matches []her.Match, result *rel.Relation) {
-	e.s, e.matches, e.result = s, matches, result
-	e.vertexTuple = make(map[graph.VertexID]int, len(matches))
-	e.tidMatch = make(map[string]her.Match, len(matches))
+	st := &baseState{
+		s: s, matches: matches, result: result,
+		vertexTuple: make(map[graph.VertexID]int, len(matches)),
+		tidMatch:    make(map[string]her.Match, len(matches)),
+		gen:         stateGen.Add(1),
+	}
 	for _, m := range matches {
-		if _, ok := e.vertexTuple[m.Vertex]; !ok {
-			e.vertexTuple[m.Vertex] = m.TupleIdx
+		if _, ok := st.vertexTuple[m.Vertex]; !ok {
+			st.vertexTuple[m.Vertex] = m.TupleIdx
 		}
-		e.tidMatch[m.TID.String()] = m
+		st.tidMatch[m.TID.String()] = m
 	}
-	e.matchRel = nil
 	if s != nil {
-		e.matchRel = matchRelation(s, matches)
+		st.matchRel = matchRelation(s, matches)
 	}
-	e.gen = stateGen.Add(1)
+	e.baseState = st
 }
 
 // Run performs both phases of RExt: pattern discovery over the matched

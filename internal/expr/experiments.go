@@ -550,7 +550,7 @@ func Precompute(o Options) []PrecomputeRow {
 			continue
 		}
 		b := mat.Base(c.MainRel)
-		f := b.Extractor.MatchRelation()
+		f := b.MatchRelation()
 		cells := b.Extracted.Len()*len(b.Extracted.Schema.Attrs) +
 			f.Len()*len(f.Schema.Attrs)
 		rows = append(rows, PrecomputeRow{

@@ -44,7 +44,8 @@ type Edge struct {
 
 // Graph is a directed labeled multigraph. The zero value is an empty graph
 // ready to use. Graph is not safe for concurrent mutation; concurrent
-// readers are safe once mutation has stopped.
+// readers are safe once mutation has stopped. A graph that must change
+// while others read it hands them a Snapshot.
 type Graph struct {
 	vertices []Vertex
 	out      [][]HalfEdge
@@ -54,6 +55,11 @@ type Graph struct {
 	byType map[string][]VertexID
 	// mutations counts structural changes; see Mutations.
 	mutations uint64
+	// shared is set once Snapshot has handed this graph's adjacency and
+	// byType lists to a snapshot: from then on a write inside a list
+	// (the two swap-deletes) goes to a copy of it. Appends need no copy —
+	// they land past the length the snapshot holds.
+	shared bool
 }
 
 // New returns an empty graph.
@@ -107,19 +113,24 @@ func (g *Graph) RemoveEdge(from VertexID, label string, to VertexID) bool {
 	if !g.Live(from) || !g.Live(to) {
 		return false
 	}
-	if !removeHalf(&g.out[from], label, to) {
+	if !g.removeHalf(&g.out[from], label, to) {
 		return false
 	}
-	removeHalf(&g.in[to], label, from)
+	g.removeHalf(&g.in[to], label, from)
 	g.numEdges--
 	g.mutations++
 	return true
 }
 
-func removeHalf(hs *[]HalfEdge, label string, to VertexID) bool {
+// removeHalf swap-deletes the entry (label, to) from one adjacency list,
+// in a copy of the list when a snapshot may be reading it.
+func (g *Graph) removeHalf(hs *[]HalfEdge, label string, to VertexID) bool {
 	s := *hs
 	for i, he := range s {
 		if he.To == to && he.Label == label {
+			if g.shared {
+				s = append([]HalfEdge(nil), s...)
+			}
 			s[i] = s[len(s)-1]
 			*hs = s[:len(s)-1]
 			return true
@@ -134,11 +145,11 @@ func (g *Graph) RemoveVertex(v VertexID) {
 		return
 	}
 	for _, he := range g.out[v] {
-		removeHalf(&g.in[he.To], he.Label, v)
+		g.removeHalf(&g.in[he.To], he.Label, v)
 		g.numEdges--
 	}
 	for _, he := range g.in[v] {
-		removeHalf(&g.out[he.To], he.Label, v)
+		g.removeHalf(&g.out[he.To], he.Label, v)
 		g.numEdges--
 	}
 	g.out[v], g.in[v] = nil, nil
@@ -146,6 +157,9 @@ func (g *Graph) RemoveVertex(v VertexID) {
 	ids := g.byType[typ]
 	for i, id := range ids {
 		if id == v {
+			if g.shared {
+				ids = append([]VertexID(nil), ids...)
+			}
 			ids[i] = ids[len(ids)-1]
 			g.byType[typ] = ids[:len(ids)-1]
 			break
@@ -298,15 +312,41 @@ func (g *Graph) Edges(fn func(Edge)) {
 	}
 }
 
-// Clone returns a deep copy of the graph. Experiments use it to compare
-// incremental maintenance against a from-scratch run on the same ΔG.
+// Snapshot returns a graph that stays as g is now however g changes
+// afterwards, for readers that must not wait for g's writer. It costs
+// three slice copies and a map copy: the vertex table and the two
+// tables of adjacency-list headers are copied, the lists themselves and
+// the byType lists are shared with g, which from now on copies a list
+// before writing inside it (see Graph.shared). A snapshot reports g's
+// Mutations count and must not itself be mutated — its lists are g's.
+func (g *Graph) Snapshot() *Graph {
+	g.shared = true
+	out := &Graph{
+		vertices:  append([]Vertex(nil), g.vertices...),
+		out:       append([][]HalfEdge(nil), g.out...),
+		in:        append([][]HalfEdge(nil), g.in...),
+		numEdges:  g.numEdges,
+		byType:    make(map[string][]VertexID, len(g.byType)),
+		mutations: g.mutations,
+		shared:    true,
+	}
+	for t, ids := range g.byType {
+		out.byType[t] = ids
+	}
+	return out
+}
+
+// Clone returns a deep copy of the graph, Mutations count included.
+// Experiments use it to compare incremental maintenance against a
+// from-scratch run on the same ΔG.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
-		vertices: append([]Vertex(nil), g.vertices...),
-		out:      make([][]HalfEdge, len(g.out)),
-		in:       make([][]HalfEdge, len(g.in)),
-		numEdges: g.numEdges,
-		byType:   make(map[string][]VertexID, len(g.byType)),
+		vertices:  append([]Vertex(nil), g.vertices...),
+		out:       make([][]HalfEdge, len(g.out)),
+		in:        make([][]HalfEdge, len(g.in)),
+		numEdges:  g.numEdges,
+		byType:    make(map[string][]VertexID, len(g.byType)),
+		mutations: g.mutations,
 	}
 	for i, hs := range g.out {
 		out.out[i] = append([]HalfEdge(nil), hs...)

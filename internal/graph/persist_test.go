@@ -52,7 +52,12 @@ func TestGraphSaveLoadExactFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The mutation count stamps structures derived in memory from one
-	// graph object; it is not part of the image.
+	// graph object and its clones and snapshots; it is not part of the
+	// image. Load fills the tables from the image and starts the count at
+	// zero — legitimately different from g's, and harmless: a loaded
+	// graph is a new object in a new lineage, nothing derived from g is
+	// ever looked up against it, and the bases extracted over it get
+	// process-unique generations.
 	got.mutations = g.mutations
 	if !reflect.DeepEqual(g, got) {
 		t.Fatalf("loaded graph differs from original:\n%+v\nvs\n%+v", g, got)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"semjoin/internal/core"
 	"semjoin/internal/graph"
 	"semjoin/internal/gsql"
 	"semjoin/internal/rel"
@@ -25,13 +26,20 @@ func Reference(cat *gsql.Catalog, input string) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return refQuery(cat, q)
+	return refQuery(refEnv{cat, cat.Mat.View()}, q)
 }
 
-func refQuery(cat *gsql.Catalog, q *gsql.Query) (*rel.Relation, error) {
+// refEnv is what the reference reads names from: the catalog, at one
+// view of its materialisation for the whole query.
+type refEnv struct {
+	cat  *gsql.Catalog
+	view *core.View
+}
+
+func refQuery(env refEnv, q *gsql.Query) (*rel.Relation, error) {
 	var sides []*rel.Relation
 	for i := range q.From {
-		r, err := refFrom(cat, &q.From[i])
+		r, err := refFrom(env, &q.From[i])
 		if err != nil {
 			return nil, err
 		}
@@ -155,20 +163,20 @@ func baseOf(f *gsql.FromItem) string {
 	return ""
 }
 
-func refFrom(cat *gsql.Catalog, f *gsql.FromItem) (r *rel.Relation, err error) {
+func refFrom(env refEnv, f *gsql.FromItem) (r *rel.Relation, err error) {
 	switch f.Kind {
 	case gsql.FromTable:
-		if r = cat.Relation(f.Table); r == nil {
+		if r = env.cat.RelationIn(env.view, f.Table); r == nil {
 			err = fmt.Errorf("reference: unknown relation %q", f.Table)
 		}
 	case gsql.FromSubquery:
-		r, err = refQuery(cat, f.Sub)
+		r, err = refQuery(env, f.Sub)
 	case gsql.FromEJoin:
-		if r, err = refFrom(cat, f.Source); err == nil {
-			r, err = refEnrich(cat, baseOf(f.Source), r, f.Keywords)
+		if r, err = refFrom(env, f.Source); err == nil {
+			r, err = refEnrich(env, baseOf(f.Source), r, f.Keywords)
 		}
 	case gsql.FromLJoin:
-		r, err = refLink(cat, f)
+		r, err = refLink(env, f)
 	}
 	if err != nil || f.Alias == "" {
 		return r, err
@@ -180,12 +188,12 @@ func refFrom(cat *gsql.Catalog, f *gsql.FromItem) (r *rel.Relation, err error) {
 // tuple, every match row with its tuple id, every extracted row with
 // that vertex; the output is S's attributes, vid and the keywords not
 // already present.
-func refEnrich(cat *gsql.Catalog, base string, src *rel.Relation, keywords []string) (*rel.Relation, error) {
-	if cat.Mat == nil || !cat.Mat.WellBehavedKeywords(base, keywords) {
+func refEnrich(env refEnv, base string, src *rel.Relation, keywords []string) (*rel.Relation, error) {
+	if !env.view.WellBehavedKeywords(base, keywords) {
 		return nil, fmt.Errorf("reference: e-join <%s> over %q is not well-behaved", strings.Join(keywords, ", "), base)
 	}
-	b := cat.Mat.Base(base)
-	f := b.Extractor.MatchRelation()
+	b := env.view.Base(base)
+	f := b.MatchRelation()
 	key := b.Spec.D.Schema.Key
 	srcKey, matchKey := src.Schema.Col(key), f.Schema.Col(key)
 	if key == "" || srcKey < 0 || matchKey < 0 {
@@ -232,8 +240,8 @@ func refEnrich(cat *gsql.Catalog, base string, src *rel.Relation, keywords []str
 
 // refLink is the link join by brute force: two tuples join iff the
 // vertices their bases matched them to are within K hops.
-func refLink(cat *gsql.Catalog, f *gsql.FromItem) (*rel.Relation, error) {
-	g := cat.Graphs[f.Graph]
+func refLink(env refEnv, f *gsql.FromItem) (*rel.Relation, error) {
+	g := env.cat.GraphIn(env.view, f.Graph)
 	if g == nil {
 		return nil, fmt.Errorf("reference: unknown graph %q", f.Graph)
 	}
@@ -250,16 +258,17 @@ func refLink(cat *gsql.Catalog, f *gsql.FromItem) (*rel.Relation, error) {
 	var verts [2][]graph.VertexID // matched vertex per tuple, -1 when unmatched
 	var attrs []rel.Attribute
 	for i, side := range []*gsql.FromItem{f.Left, f.Right} {
-		r, err := refFrom(cat, side)
+		r, err := refFrom(env, side)
 		if err != nil {
 			return nil, err
 		}
 		key := r.Schema.KeyCol()
-		if cat.Mat == nil || cat.Mat.Base(baseOf(side)) == nil || key < 0 {
+		b := env.view.Base(baseOf(side))
+		if b == nil || key < 0 {
 			return nil, fmt.Errorf("reference: l-join side %s is not a keyed selection of a materialised base", r.Schema)
 		}
 		byTID := map[string]graph.VertexID{}
-		for _, m := range cat.Mat.Base(baseOf(side)).Extractor.Matches() {
+		for _, m := range b.Matches() {
 			byTID[m.TID.String()] = m.Vertex
 		}
 		for _, t := range r.Tuples {
@@ -279,7 +288,7 @@ func refLink(cat *gsql.Catalog, f *gsql.FromItem) (*rel.Relation, error) {
 	out := rel.NewRelation(schema)
 	for i, t1 := range sides[0].Tuples {
 		for j, t2 := range sides[1].Tuples {
-			if verts[0][i] >= 0 && verts[1][j] >= 0 && g.WithinKHops(verts[0][i], verts[1][j], cat.K) >= 0 {
+			if verts[0][i] >= 0 && verts[1][j] >= 0 && g.WithinKHops(verts[0][i], verts[1][j], env.cat.K) >= 0 {
 				out.Tuples = append(out.Tuples, append(append(rel.Tuple(nil), t1...), t2...))
 			}
 		}

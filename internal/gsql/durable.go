@@ -10,11 +10,10 @@ import (
 
 // openDurable handles OPEN <base> <dir>: it opens (creating or
 // recovering) the write-ahead-logged store for a materialized base and
-// rebinds the catalog to the recovered state — the base
-// materialisation and (when recovery loaded a snapshot with its own
-// graph copy) every catalog graph that pointed at the base's previous
-// graph. The reference relation needs no rebinding: Catalog.Relation
-// reads an open store's current D.
+// attaches the base to it. Nothing in the catalog is rebound: queries
+// resolve the base, its reference relation (Catalog.Relation) and every
+// graph name bound to the materialisation's graph (Catalog.Graph)
+// through the version the store has published.
 func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("gsql: usage: OPEN <base> <dir>")
@@ -32,9 +31,8 @@ func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation,
 	}
 	cfg := cat.RExt
 	cfg.K = cat.K
-	oldG := cat.Mat.G
 	st, err := core.OpenDurable(ctx, dir, core.DurableBoot{
-		Base: cat.Mat.Base(name), Graph: oldG,
+		Base:   cat.Mat.Base(name),
 		Models: cat.Models, Cfg: cfg, Matcher: cat.Matcher,
 	}, cat.DurableOpts)
 	if err != nil {
@@ -44,19 +42,7 @@ func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation,
 		st.Close()
 		return nil, err
 	}
-	// Rebind the catalog to the recovered state. On a fresh directory
-	// the store adopted the boot state and these are no-ops; after a
-	// snapshot recovery the store carries its own graph copy, so every
-	// name bound to the old graph follows it.
-	cat.Mat.SetBase(name, st.Base())
-	if g := st.Graph(); g != oldG {
-		cat.Mat.G = g
-		for gn, cg := range cat.Graphs {
-			if cg == oldG {
-				cat.Graphs[gn] = g
-			}
-		}
-	}
+	cat.Mat.Attach(name, st)
 	info := st.WALInfo()
 	out := rel.NewRelation(rel.NewSchema("status", "",
 		rel.Attribute{Name: "base", Type: rel.KindString},

@@ -2,11 +2,17 @@ package gsql
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"semjoin/internal/core"
 	"semjoin/internal/graph"
 	"semjoin/internal/mat"
+	"semjoin/internal/obs"
+	"semjoin/internal/rel"
 	"semjoin/internal/wal"
 )
 
@@ -44,7 +50,7 @@ func TestOpenCheckpointStatements(t *testing.T) {
 		t.Fatal("OPEN of unknown base should error")
 	}
 
-	// Queries keep working through the durable base, under its lock.
+	// Queries keep working through the durable base, off its version.
 	rows, err := eng.Query("select pid from product")
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +86,50 @@ func TestOpenCheckpointStatements(t *testing.T) {
 	}
 }
 
+// TestQueryReportsTheVersionItRead: the version a query was answered
+// from is on the engine (LastVersionSeq), on the query's span, in SHOW
+// SESSION and counted — and it is the version published when the query
+// ran, not the one a later statement finds.
+func TestQueryReportsTheVersionItRead(t *testing.T) {
+	fin := buildFintech()
+	fin.cat.DurableOpts = core.DurableOptions{FS: wal.NewMemFS()}
+	eng := NewEngine(fin.cat)
+	eng.Obs = obs.NewRegistry()
+	const q = "select pid, company from product e-join G <company, country> as T"
+	if _, err := eng.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if eng.LastVersionSeq != 0 || eng.LastTrace.Note != "" {
+		t.Fatalf("no store open, yet seq=%d note=%q", eng.LastVersionSeq, eng.LastTrace.Note)
+	}
+	if _, err := eng.Query("OPEN product db"); err != nil {
+		t.Fatal(err)
+	}
+	st := fin.cat.Durable.Get("product")
+	for want := uint64(1); want <= 2; want++ {
+		if _, err := st.ApplyGraphUpdate(graph.RandomMixedBatch(st.Graph(), mat.NewRNG(want), 4)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if eng.LastVersionSeq != want || eng.LastTrace.Note != fmt.Sprintf("version seq %d", want) {
+			t.Fatalf("after update %d: LastVersionSeq=%d, span note %q", want, eng.LastVersionSeq, eng.LastTrace.Note)
+		}
+	}
+	if got := showSessionMap(t, eng)["version_seq"]; got != "2" {
+		t.Fatalf("SHOW SESSION version_seq = %q, want 2", got)
+	}
+	if got := eng.Obs.Counter("core_version_reads_total").Value(); got != 2 {
+		t.Fatalf("core_version_reads_total = %d, want 2", got)
+	}
+}
+
 // TestOpenRecoversAndRebindsCatalog checkpoints a mutated store, then
 // opens the same directory from a brand-new pristine catalog: OPEN
-// must load the snapshot, rebind the catalog's base and graphs to the
-// recovered copies and serve the recovered reference relation.
+// must load the snapshot, and the catalog's base, its graph names and
+// the reference relation must resolve to the recovered copies — and to
+// the next version once an update has published one.
 func TestOpenRecoversAndRebindsCatalog(t *testing.T) {
 	fs := wal.NewMemFS()
 
@@ -115,7 +161,7 @@ func TestOpenRecoversAndRebindsCatalog(t *testing.T) {
 	if st2.Graph() == fin2.g {
 		t.Fatal("snapshot recovery should carry its own graph copy")
 	}
-	if fin2.cat.Mat.G != st2.Graph() || fin2.cat.Graphs["G"] != st2.Graph() || fin2.cat.Graphs["Gp"] != st2.Graph() {
+	if fin2.cat.Mat.View().G != st2.Graph() || fin2.cat.Graph("G") != st2.Graph() || fin2.cat.Graph("Gp") != st2.Graph() {
 		t.Fatal("catalog graphs not rebound to the recovered graph")
 	}
 	if fin2.cat.Mat.Base("product") != st2.Base() {
@@ -127,6 +173,13 @@ func TestOpenRecoversAndRebindsCatalog(t *testing.T) {
 	if got := graphImageBytes(t, st2.Graph()); string(got) != string(wantGraph) {
 		t.Fatal("recovered graph differs from the checkpointed one")
 	}
+	recovered := st2.Graph()
+	if _, err := st2.ApplyGraphUpdate(graph.RandomMixedBatch(recovered, mat.NewRNG(10), 6)); err != nil {
+		t.Fatal(err)
+	}
+	if st2.Graph() == recovered || fin2.cat.Graph("G") != st2.Graph() || fin2.cat.Mat.Base("product") != st2.Base() {
+		t.Fatal("catalog does not follow the version an update published")
+	}
 	// And the rebound catalog still answers queries.
 	rows, err := eng2.Query("select pid, company from product e-join G <company, country> as T")
 	if err != nil {
@@ -134,6 +187,92 @@ func TestOpenRecoversAndRebindsCatalog(t *testing.T) {
 	}
 	if rows.Len() == 0 {
 		t.Fatal("e-join over recovered base returned no rows")
+	}
+}
+
+// TestUpdateThroughAnyStoreReachesTheQueryGraph: cmd/gsql -data-dir
+// opens one store per base over the one working graph, and each
+// publishes the graph after its own updates only. Whichever store an
+// update goes through, first opened or last, the next query reads the
+// graph with that update in it beside the base the update re-extracted —
+// never that base's new f(D,G) over another store's older snapshot — and
+// answers as a catalog with that one store open does.
+func TestUpdateThroughAnyStoreReachesTheQueryGraph(t *testing.T) {
+	queries := []string{
+		"select customer.cid, customer2.cid from customer l-join <G> customer as customer2",
+		"select product.pid, c2.cid from product l-join <Gp> customer as c2",
+		"select cid, company from customer e-join G <company, product> as T",
+	}
+	// run opens the named bases in order, streams two graph updates and a
+	// relation update through the customer store and answers the queries.
+	run := func(t *testing.T, opens ...string) (results [][]string, fin *fintech, eng *Engine) {
+		fin = buildFintech()
+		fin.cat.DurableOpts = core.DurableOptions{FS: wal.NewMemFS()}
+		eng = NewEngine(fin.cat)
+		eng.Obs = obs.NewRegistry()
+		for _, base := range opens {
+			if _, err := eng.Query(fmt.Sprintf("OPEN %s %s", base, base)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := fin.cat.Durable.Get("customer")
+		a, b := fin.truth["cid00"], fin.truth["cid05"]
+		for _, delta := range []graph.Batch{
+			{{Op: graph.InsertEdge, Edge: graph.Edge{From: a, Label: "knows", To: b}}},
+			graph.RandomMixedBatch(st.Graph(), mat.NewRNG(21), 6),
+		} {
+			if _, err := st.ApplyGraphUpdate(delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fewer := rel.NewRelation(fin.customers.Schema)
+		fewer.Tuples = append(fewer.Tuples, fin.customers.Tuples[:len(fin.customers.Tuples)-2]...)
+		if _, err := st.ApplyRelationUpdate(fewer); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			out, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			rows := make([]string, out.Len())
+			for i, tup := range out.Tuples {
+				rows[i] = fmt.Sprint(tup)
+			}
+			sort.Strings(rows)
+			results = append(results, rows)
+		}
+		return results, fin, eng
+	}
+
+	want, _, _ := run(t, "customer")
+	linked := false
+	for _, row := range want[0] {
+		linked = linked || row == fmt.Sprint(rel.Tuple{rel.S("cid00"), rel.S("cid05")})
+	}
+	if !linked {
+		t.Fatal("the inserted edge does not link cid00 to cid05 even with one store: the test reads nothing")
+	}
+	for _, opens := range [][]string{{"customer", "product"}, {"product", "customer"}} {
+		t.Run(strings.Join(opens, "-then-"), func(t *testing.T) {
+			got, fin, eng := run(t, opens...)
+			st := fin.cat.Durable.Get("customer")
+			if g := fin.cat.Graph("G"); g.Mutations() != st.Graph().Mutations() {
+				t.Fatalf("queries read a graph at %d mutations, the store that took the updates published one at %d",
+					g.Mutations(), st.Graph().Mutations())
+			}
+			for qi := range queries {
+				if !slices.Equal(got[qi], want[qi]) {
+					t.Errorf("%q: %d rows, want the %d a catalog with the customer store alone returns",
+						queries[qi], len(got[qi]), len(want[qi]))
+				}
+			}
+			// Three updates in the customer store's log, none in the
+			// product store's: the view holds three.
+			if eng.LastVersionSeq != 3 {
+				t.Errorf("LastVersionSeq = %d, want 3", eng.LastVersionSeq)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package gsql
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -47,24 +48,44 @@ type Catalog struct {
 	RExt core.Config
 
 	// Durable registers the write-ahead-logged stores opened with the
-	// OPEN statement (or -data-dir at startup). Query execution takes
-	// every store's read lock, so streamed updates never race a scan.
+	// OPEN statement (or -data-dir at startup). A query reads the
+	// version each of them had published when it started and takes no
+	// lock, so streamed updates neither race a scan nor hold one up.
 	Durable *core.DurableSet
 	// DurableOpts configures stores opened through this catalog
 	// (fsync policy, segment size, auto-checkpoint cadence).
 	DurableOpts core.DurableOptions
 }
 
-// Relation resolves a base relation name, preferring the live durable
-// state when the base is backed by an open WAL store: a relation
+// Relation resolves a base relation name, preferring the published
+// durable state when the base is backed by an open WAL store: a relation
 // replacement streamed through the store is visible to the next query
-// without rebinding the catalog map. Safe during execution because
-// the engine holds every store's read lock for the whole query.
+// without rebinding the catalog map. It answers for the current state;
+// a caller that resolves more than one name takes one core.View
+// (c.Mat.View()) and asks RelationIn and GraphIn, as a query does.
 func (c *Catalog) Relation(name string) *rel.Relation {
-	if st := c.Durable.Get(name); st != nil {
-		return st.Base().Spec.D
+	return c.RelationIn(c.Mat.View(), name)
+}
+
+// Graph resolves a graph name. A name bound to the graph the
+// materialisation was built over follows an open store's published
+// graph, as Relation follows its D.
+func (c *Catalog) Graph(name string) *graph.Graph {
+	return c.GraphIn(c.Mat.View(), name)
+}
+
+// RelationIn is Relation within one view, so that every name read
+// through it comes from the same store versions.
+func (c *Catalog) RelationIn(v *core.View, name string) *rel.Relation {
+	if d := v.Relation(name); d != nil {
+		return d
 	}
 	return c.Relations[name]
+}
+
+// GraphIn is Graph within one view.
+func (c *Catalog) GraphIn(v *core.View, name string) *graph.Graph {
+	return v.Resolve(c.Graphs[name])
 }
 
 // Engine plans gSQL queries into pipelined operator trees and drains
@@ -117,6 +138,15 @@ type Engine struct {
 	// LastTraceID is the id of the last executed query's trace — the
 	// handle /traces/<id> serves when the trace was kept.
 	LastTraceID string
+	// LastVersionSeq is the WAL sequence number of the store version the
+	// last executed query read (core.View.Seq): its result is the result
+	// on exactly the updates logged up to it. With several stores open it
+	// is their versions' numbers summed. 0 when no store is open.
+	LastVersionSeq uint64
+
+	// view is the state the statement in flight reads: run sets it,
+	// QueryContext drops it.
+	view *core.View
 }
 
 // NewEngine returns an engine in ModeAuto.
@@ -179,6 +209,7 @@ func (e *Engine) Query(input string) (*rel.Relation, error) {
 // QueryContext is Query with cancellation: ctx is checked periodically
 // while the operator tree drains.
 func (e *Engine) QueryContext(ctx context.Context, input string) (*rel.Relation, error) {
+	defer e.unpin()
 	trimmed := strings.TrimSpace(input)
 	if f := strings.Fields(trimmed); len(f) >= 1 {
 		two := len(f) >= 2
@@ -225,6 +256,20 @@ func (e *Engine) QueryContext(ctx context.Context, input string) (*rel.Relation,
 	return out, nil
 }
 
+// unpin drops the view run pinned. The statement's entry point defers
+// it, so that what follows run there — EXPLAIN's well-behaved verdict —
+// is judged on the view the query read, and an idle session holds no
+// version.
+func (e *Engine) unpin() { e.view = nil }
+
+// pin loads the view the statement in flight reads. An engine without a
+// catalog has none to load, and still reports a parse error as one.
+func (e *Engine) pin() {
+	if e.Cat != nil {
+		e.view = e.Cat.Mat.View()
+	}
+}
+
 // run parses, plans and executes one query under a root trace span,
 // recording latency metrics and a query-log entry for every outcome
 // (parse and plan errors included). The span tree is kept on LastTrace.
@@ -236,13 +281,11 @@ func (e *Engine) QueryContext(ctx context.Context, input string) (*rel.Relation,
 // it creates one, finishes it with the outcome status, and retains it
 // in the trace store when the tracer's sampling says so.
 func (e *Engine) run(ctx context.Context, input string) (*rel.Relation, *Query, error) {
-	// Durable stores: hold every store's read lock while the query
-	// plans and drains, so update streams cannot mutate extractor
-	// state mid-scan. Nil-safe and free when nothing is open.
-	if e.Cat != nil {
-		release := e.Cat.Durable.RLockAll()
-		defer release()
-	}
+	// The one place a query meets the durable stores: one atomic load
+	// per open store, and the plan and the drain below read that version
+	// of each whatever commits meanwhile. No lock is taken.
+	e.pin()
+	e.LastVersionSeq = e.view.Seq()
 	reg := e.reg()
 	ctx = obs.WithRegistry(ctx, reg)
 	tr := obs.TraceFromContext(ctx)
@@ -254,6 +297,10 @@ func (e *Engine) run(ctx context.Context, input string) (*rel.Relation, *Query, 
 	root := tr.StartSpan("query")
 	if root == nil {
 		root = obs.StartSpan("query")
+	}
+	if e.LastVersionSeq > 0 {
+		root.Note = "version seq " + strconv.FormatUint(e.LastVersionSeq, 10)
+		reg.Counter("core_version_reads_total").Inc()
 	}
 	e.LastTrace = root
 	e.LastTraceID = tr.ID()

@@ -19,6 +19,7 @@ func (e *Engine) Explain(input string) (string, error) {
 
 // ExplainContext is Explain with cancellation.
 func (e *Engine) ExplainContext(ctx context.Context, input string) (string, error) {
+	defer e.unpin()
 	trimmed := strings.TrimSpace(input)
 	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "explain") {
 		trimmed = trimmed[7:]
@@ -43,6 +44,7 @@ func (e *Engine) ExplainAnalyze(input string) (string, error) {
 
 // ExplainAnalyzeContext is ExplainAnalyze with cancellation.
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, input string) (string, error) {
+	defer e.unpin()
 	trimmed := strings.TrimSpace(input)
 	if len(trimmed) >= 7 && strings.EqualFold(trimmed[:7], "explain") {
 		trimmed = strings.TrimSpace(trimmed[7:])

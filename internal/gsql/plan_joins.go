@@ -18,7 +18,7 @@ func (e *Engine) planEJoin(f *FromItem) (rel.Iterator, provenance, error) {
 	if err != nil {
 		return nil, provenance{}, err
 	}
-	g := e.Cat.Graphs[f.Graph]
+	g := e.graph(f.Graph)
 	if g == nil {
 		return nil, provenance{}, fmt.Errorf("gsql: unknown graph %q", f.Graph)
 	}
@@ -31,17 +31,17 @@ func (e *Engine) planEJoin(f *FromItem) (rel.Iterator, provenance, error) {
 	var out rel.Iterator
 	switch {
 	case e.Mode != ModeBaseline && e.Mode != ModeHeuristic &&
-		prov.base != "" && prov.keyed && e.Cat.Mat != nil &&
-		e.Cat.Mat.WellBehavedKeywords(prov.base, f.Keywords):
-		out, err = e.Cat.Mat.StaticEnrichIter(prov.base, src, f.Keywords)
+		prov.base != "" && prov.keyed &&
+		e.view.WellBehavedKeywords(prov.base, f.Keywords):
+		out, err = e.view.StaticEnrichIter(prov.base, src, f.Keywords)
 		e.note("e-join(%s): well-behaved, %s over materialised h(D,G)", f.Graph, joinName)
-	case e.Mode != ModeBaseline && prov.base != "" && !prov.keyed && e.Cat.Mat != nil &&
-		e.Cat.Mat.WellBehavedKeywords(prov.base, f.Keywords) && e.Mode != ModeHeuristic:
+	case e.Mode != ModeBaseline && prov.base != "" && !prov.keyed &&
+		e.view.WellBehavedKeywords(prov.base, f.Keywords) && e.Mode != ModeHeuristic:
 		// Condition (2)(b): recover tuple ids by joining back to the base
 		// on the surviving attributes, then join statically.
-		base := e.Cat.Relation(prov.base)
+		base := e.relation(prov.base)
 		rejoined := rel.NewNaturalJoin(src, base)
-		out, err = e.Cat.Mat.StaticEnrichIter(prov.base, rejoined, f.Keywords)
+		out, err = e.view.StaticEnrichIter(prov.base, rejoined, f.Keywords)
 		e.note("e-join(%s): well-behaved via id recovery, %s", f.Graph, joinName)
 	case e.Mode != ModeBaseline && e.Cat.Heur != nil:
 		out = core.HeuristicEnrichIter(e.Cat.Heur, src, f.Keywords)
@@ -160,7 +160,7 @@ func linkSideNames(f *FromItem) (string, string) {
 
 // planLJoin plans a link join, with optional pushed-down side filters.
 func (e *Engine) planLJoin(f *FromItem, filters *linkFilters) (rel.Iterator, provenance, error) {
-	g := e.Cat.Graphs[f.Graph]
+	g := e.graph(f.Graph)
 	if g == nil {
 		return nil, provenance{}, fmt.Errorf("gsql: unknown graph %q", f.Graph)
 	}
@@ -196,10 +196,10 @@ func (e *Engine) planLJoin(f *FromItem, filters *linkFilters) (rel.Iterator, pro
 	case e.Mode == ModeHeuristic && e.Cat.Heur != nil:
 		out = core.HeuristicLinkIter(e.Cat.Heur, g, e.Cat.K, s1, s2)
 		e.note("l-join(%s): heuristic via gτ alignment", f.Graph)
-	case e.Mode != ModeBaseline && p1.base != "" && p2.base != "" && e.Cat.Mat != nil &&
-		e.Cat.Mat.Base(p1.base) != nil && e.Cat.Mat.Base(p2.base) != nil:
+	case e.Mode != ModeBaseline && p1.base != "" && p2.base != "" &&
+		e.view.Base(p1.base) != nil && e.view.Base(p2.base) != nil:
 		key := core.LinkCacheKey(p1.base, sig1, p2.base, sig2, e.Cat.K)
-		out = e.Cat.Mat.StaticLinkIter(p1.base, s1, p2.base, s2, e.Cat.K, e.Par(), key)
+		out = e.view.StaticLinkIter(p1.base, s1, p2.base, s2, e.Cat.K, e.Par(), key)
 		e.note("l-join(%s): well-behaved over pre-computed matches (gL key %s)", f.Graph, key)
 	default:
 		out = core.LinkJoinIter(g, e.Cat.Matcher, e.Cat.K, e.Par(), s1, s2)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"semjoin/internal/graph"
 	"semjoin/internal/rel"
 )
 
@@ -19,13 +20,17 @@ type provenance struct {
 // w.r.t. the catalog's materialisation (A ⊆ AR and single-base
 // provenance), via the linear-time bottom-up scan the paper describes.
 func (e *Engine) WellBehaved(q *Query) bool {
+	if e.view == nil { // not called from within a query: judge the current state
+		e.pin()
+		defer e.unpin()
+	}
 	ok := true
 	var walkQuery func(*Query) provenance
 	var walkFrom func(*FromItem) provenance
 	walkFrom = func(f *FromItem) provenance {
 		switch f.Kind {
 		case FromTable:
-			r := e.Cat.Relation(f.Table)
+			r := e.relation(f.Table)
 			if r == nil {
 				ok = false
 				return provenance{}
@@ -35,16 +40,15 @@ func (e *Engine) WellBehaved(q *Query) bool {
 			return walkQuery(f.Sub)
 		case FromEJoin:
 			p := walkFrom(f.Source)
-			if p.base == "" || e.Cat.Mat == nil ||
-				!e.Cat.Mat.WellBehavedKeywords(p.base, f.Keywords) {
+			if p.base == "" || !e.view.WellBehavedKeywords(p.base, f.Keywords) {
 				ok = false
 			}
 			return p
 		case FromLJoin:
 			pl := walkFrom(f.Left)
 			pr := walkFrom(f.Right)
-			if pl.base == "" || pr.base == "" || e.Cat.Mat == nil ||
-				e.Cat.Mat.Base(pl.base) == nil || e.Cat.Mat.Base(pr.base) == nil {
+			if pl.base == "" || pr.base == "" ||
+				e.view.Base(pl.base) == nil || e.view.Base(pr.base) == nil {
 				ok = false
 			}
 			return provenance{}
@@ -168,7 +172,7 @@ func (e *Engine) planQuery(q *Query) (rel.Iterator, provenance, error) {
 		prov = provenance{}
 	} else if prov.base != "" {
 		// Projection keeps provenance; key survival decides keyed.
-		if base := e.Cat.Relation(prov.base); base != nil {
+		if base := e.relation(prov.base); base != nil {
 			if s := out.Schema(); s != nil {
 				prov.keyed = s.Has(base.Schema.Key)
 			} else {
@@ -354,7 +358,7 @@ func (e *Engine) planAggregate(q *Query, cur rel.Iterator) (rel.Iterator, error)
 func (e *Engine) planFrom(f *FromItem) (rel.Iterator, provenance, error) {
 	switch f.Kind {
 	case FromTable:
-		r := e.Cat.Relation(f.Table)
+		r := e.relation(f.Table)
 		if r == nil {
 			return nil, provenance{}, fmt.Errorf("gsql: unknown relation %q", f.Table)
 		}
@@ -379,6 +383,13 @@ func (e *Engine) planFrom(f *FromItem) (rel.Iterator, provenance, error) {
 	}
 	return nil, provenance{}, fmt.Errorf("gsql: bad FROM item")
 }
+
+// relation and graph resolve a name within the view of the query in
+// flight, so that every name a query mentions is read from the same
+// store versions.
+func (e *Engine) relation(name string) *rel.Relation { return e.Cat.RelationIn(e.view, name) }
+
+func (e *Engine) graph(name string) *graph.Graph { return e.Cat.GraphIn(e.view, name) }
 
 func (e *Engine) note(format string, args ...any) {
 	e.Plan = append(e.Plan, fmt.Sprintf(format, args...))

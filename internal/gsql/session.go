@@ -85,10 +85,11 @@ func (e *Engine) showMetrics(extra []string) (*rel.Relation, error) {
 // showSession handles SHOW SESSION: the per-session settings as a
 // sorted (setting, value) relation — the effective degree of
 // parallelism and the slow-query threshold of this session's query
-// log. Sessions sharing
-// one catalog diverge only in these knobs, so the session-isolation
-// property tests observe leakage (or its absence) through this
-// statement alone.
+// log — followed by version_seq, the store version this session's last
+// query read (LastVersionSeq; a fact about the session, not a knob).
+// Sessions sharing one catalog diverge only in the knobs, so the
+// session-isolation property tests observe leakage (or its absence)
+// through this statement alone.
 func (e *Engine) showSession(extra []string) (*rel.Relation, error) {
 	if len(extra) != 0 {
 		return nil, fmt.Errorf("gsql: usage: SHOW SESSION")
@@ -99,6 +100,7 @@ func (e *Engine) showSession(extra []string) (*rel.Relation, error) {
 	))
 	out.InsertVals(rel.S("parallelism"), rel.S(strconv.Itoa(e.Par())))
 	out.InsertVals(rel.S("slow_query_ms"), rel.S(strconv.FormatInt(e.qlog().SlowThreshold().Milliseconds(), 10)))
+	out.InsertVals(rel.S("version_seq"), rel.S(strconv.FormatUint(e.LastVersionSeq, 10)))
 	return out, nil
 }
 

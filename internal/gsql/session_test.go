@@ -19,10 +19,10 @@ func showSessionMap(t *testing.T, e *Engine) map[string]string {
 func TestShowSessionStatement(t *testing.T) {
 	e, _, _ := newObsEngine(t)
 	got := showSessionMap(t, e)
-	if len(got) != 2 {
-		t.Fatalf("SHOW SESSION rows = %v, want 2 settings", got)
+	if len(got) != 3 {
+		t.Fatalf("SHOW SESSION rows = %v, want 2 settings and version_seq", got)
 	}
-	if got["slow_query_ms"] != "0" {
+	if got["slow_query_ms"] != "0" || got["version_seq"] != "0" {
 		t.Fatalf("defaults = %v", got)
 	}
 	if got["parallelism"] == "" || got["parallelism"] == "0" {

@@ -192,9 +192,10 @@ func (w *Workload) Catalog() (*gsql.Catalog, error) {
 // catalogOver binds a catalog to materialisation m, with products as
 // the product relation.
 func (w *Workload) catalogOver(m *core.Materialized, products *rel.Relation) *gsql.Catalog {
+	g := m.View().G
 	return &gsql.Catalog{
 		Relations: map[string]*rel.Relation{"product": products, "customer": w.Customers},
-		Graphs:    map[string]*graph.Graph{"G": m.G, "Gp": m.G},
+		Graphs:    map[string]*graph.Graph{"G": g, "Gp": g},
 		Models:    w.Models,
 		Matcher:   w.Matcher,
 		Mat:       m,

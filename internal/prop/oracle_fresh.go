@@ -28,28 +28,12 @@ import (
 // again by the query that cached it.
 func CheckFreshReads(seed int64, stream Stream) error {
 	w := NewWorkload(seed)
-	cat, err := w.Catalog()
+	cat, eng, st, err := openProductStore(w)
 	if err != nil {
-		return fmt.Errorf("harness: catalog: %w", err)
+		return err
 	}
-	cat.DurableOpts = core.DurableOptions{FS: wal.NewMemFS()}
-	eng := gsql.NewEngine(cat)
-	eng.Obs = obs.NewRegistry()
-	if _, err := eng.Query("OPEN product db"); err != nil {
-		return fmt.Errorf("harness: OPEN: %w", err)
-	}
-	st := cat.Durable.Get("product")
 	defer st.Close()
-
-	rng := rand.New(rand.NewSource(seed ^ 0xf7e5))
-	ePred, lPred := randProductPred(rng).SQL("T."), randProductPred(rng).SQL("product.")
-	linkQueries := []string{
-		"select product.pid, product2.pid from product l-join <Gp> product as product2",
-		"select product.pid, product2.pid from product l-join <Gp> product as product2 where " + lPred,
-		"select customer.cid, customer2.cid from customer l-join <Gp> customer as customer2",
-		"select product.pid, c2.cid from product l-join <G> customer as c2",
-		"select product.pid, c2.cid from product l-join <G> customer as c2 where " + lPred,
-	}
+	ePred, linkQueries := freshReadQueries(seed)
 
 	drv := newStreamDriver(st, w)
 	for i, s := range stream {
@@ -60,12 +44,7 @@ func CheckFreshReads(seed int64, stream Stream) error {
 		// E-joins name the attributes this step's h(D,G) still carries: a
 		// keyword step may have dropped some of AR from the scheme.
 		if attrs := extractedEJoinAttrs(cat.Mat); len(attrs) > 0 {
-			a := strings.Join(attrs, ", ")
-			queries = append([]string{
-				fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T", a, a),
-				fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T where %s", a, a, ePred),
-				fmt.Sprintf("select pid, name, vid, %s from (select name, issuer from product) e-join G <%s> as T", a, a),
-			}, queries...)
+			queries = append(eJoinQueries(attrs, ePred), queries...)
 		}
 		fresh, err := freshCatalog(w, cat)
 		if err != nil {
@@ -101,20 +80,68 @@ func CheckFreshReads(seed int64, stream Stream) error {
 	return nil
 }
 
+// openProductStore builds the workload's catalog and OPENs its product
+// base as a WAL-backed store on an in-memory filesystem — and after it
+// those of alsoOpen, which share its working graph as the stores of
+// cmd/gsql -data-dir do.
+func openProductStore(w *Workload, alsoOpen ...string) (*gsql.Catalog, *gsql.Engine, *core.DurableStore, error) {
+	cat, err := w.Catalog()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("harness: catalog: %w", err)
+	}
+	cat.DurableOpts = core.DurableOptions{FS: wal.NewMemFS()}
+	eng := gsql.NewEngine(cat)
+	eng.Obs = obs.NewRegistry()
+	for _, base := range append([]string{"product"}, alsoOpen...) {
+		if _, err := eng.Query(fmt.Sprintf("OPEN %s db-%s", base, base)); err != nil {
+			return nil, nil, nil, fmt.Errorf("harness: OPEN %s: %w", base, err)
+		}
+	}
+	return cat, eng, cat.Durable.Get("product"), nil
+}
+
+// freshReadQueries draws the seeded read mix of oracles 7 and 9: the
+// predicate its e-joins filter on, and the link joins.
+func freshReadQueries(seed int64) (ePred string, linkQueries []string) {
+	rng := rand.New(rand.NewSource(seed ^ 0xf7e5))
+	ePred, lPred := randProductPred(rng).SQL("T."), randProductPred(rng).SQL("product.")
+	return ePred, []string{
+		"select product.pid, product2.pid from product l-join <Gp> product as product2",
+		"select product.pid, product2.pid from product l-join <Gp> product as product2 where " + lPred,
+		"select customer.cid, customer2.cid from customer l-join <Gp> customer as customer2",
+		"select product.pid, c2.cid from product l-join <G> customer as c2",
+		"select product.pid, c2.cid from product l-join <G> customer as c2 where " + lPred,
+	}
+}
+
+// eJoinQueries are the mix's enrichment joins over the given extracted
+// attributes: static, static with a pushed predicate, and id recovery.
+func eJoinQueries(attrs []string, ePred string) []string {
+	a := strings.Join(attrs, ", ")
+	return []string{
+		fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T", a, a),
+		fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T where %s", a, a, ePred),
+		fmt.Sprintf("select pid, name, vid, %s from (select name, issuer from product) e-join G <%s> as T", a, a),
+	}
+}
+
 // freshCatalog materialises both bases from scratch over live's current
-// graph and relations, each under the scheme live's extractor holds.
+// graph and relations — one view of them — each under the scheme live's
+// extractor holds.
 func freshCatalog(w *Workload, live *gsql.Catalog) (*gsql.Catalog, error) {
-	m, err := core.BuildMaterialized(live.Mat.G, w.Models, nil, w.Cfg)
+	v := live.Mat.View()
+	g := v.G
+	m, err := core.BuildMaterialized(g, w.Models, nil, w.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range []string{"product", "customer"} {
-		lb, d := live.Mat.Base(name), live.Relation(name)
+		lb, d := v.Base(name), live.RelationIn(v, name)
 		cfg := w.Cfg
 		cfg.Keywords = lb.AR()
 		cfg.MaxAttrs = len(lb.AR())
-		ex := core.NewExtractor(m.G, w.Models, cfg)
-		dg, err := ex.ExtractWithScheme(d, lb.Extractor.Scheme(), w.Matcher.Match(d, m.G))
+		ex := core.NewExtractor(g, w.Models, cfg)
+		dg, err := ex.ExtractWithScheme(d, lb.Extractor.Scheme(), w.Matcher.Match(d, g))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -124,5 +151,5 @@ func freshCatalog(w *Workload, live *gsql.Catalog) (*gsql.Catalog, error) {
 			Extracted: dg,
 		})
 	}
-	return w.catalogOver(m, live.Relation("product")), nil
+	return w.catalogOver(m, live.RelationIn(v, "product")), nil
 }

@@ -105,6 +105,13 @@ func TestCrashRecoveryOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "crash-recovery", StreamLen: 6, Check: CheckCrashRecovery})
 }
 
+// TestSnapshotIsolationOracle checks oracle 9: reads racing an update
+// stream each equal the same read on a from-scratch materialisation of
+// exactly the WAL prefix they report having read.
+func TestSnapshotIsolationOracle(t *testing.T) {
+	runOracle(t, Oracle{Name: "snapshot-isolation", StreamLen: 16, Check: CheckSnapshotIsolation})
+}
+
 // TestForcedViolationIsCaughtAndShrunk is the harness's own regression
 // test: with IncExt's delete maintenance deliberately broken
 // (CheckIncExtBroken), the oracle must catch the divergence on some

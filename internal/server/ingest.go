@@ -18,8 +18,8 @@ import (
 
 // ingest admits and applies one OpIngest batch. The store's own lock
 // orders concurrent writers; gSQL queries running through the engine
-// hold the durable set's read lock, so a batch never interleaves with
-// a half-read query.
+// read the version the store published before the batch and never see
+// it half applied, nor wait for it.
 func (ss *session) ingest(ctx context.Context, in inbound) Response {
 	req := in.req
 	release, err := ss.ctl.Admit(ctx)
