@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -64,7 +63,7 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of query traces to keep for /traces and SHOW TRACES (0..1; shed, slow and TRACE'd queries are always kept)")
 	traceSlowMS := flag.Int("trace-slow-ms", 0, "always keep traces of queries at least this slow, regardless of -trace-sample (0 = disabled)")
 	logLevel := flag.String("log-level", "info", "structured JSON log level on stderr: debug, info, warn, error")
-	dataDir := flag.String("data-dir", "", "open a write-ahead-logged store per materialized base under this directory; updates stream through the WAL and a restart replays them")
+	dataDir := flag.String("data-dir", "", "open the write-ahead-logged store of the graph and every materialized base in this directory; updates stream through the WAL and a restart replays them")
 	fsync := flag.String("fsync", "batch", "WAL sync policy for -data-dir: always (fsync per record), batch (group commit), never")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "auto-checkpoint a durable store after this many WAL records (0 = manual CHECKPOINT only)")
 	var tables tableFlags
@@ -109,7 +108,7 @@ func main() {
 	}
 	fmt.Printf("ready in %.1fs\n", time.Since(start).Seconds())
 	if *dataDir != "" {
-		if err := openDurableStores(env, *dataDir, *fsync, *checkpointEvery); err != nil {
+		if err := openDurableStore(env, *dataDir, *fsync, *checkpointEvery); err != nil {
 			fmt.Fprintln(os.Stderr, "data-dir:", err)
 			os.Exit(1)
 		}
@@ -362,45 +361,37 @@ func loadRealData(graphPath string, tables tableFlags, keywordCSV string, epochs
 	return &expr.QueryEnv{Cat: cat}, nil
 }
 
-// openDurableStores opens (or recovers) one WAL-backed store per
-// materialized base under dir, reusing the gSQL OPEN statement so the
-// catalog rebinding logic is identical to an interactive OPEN. Each
-// store lives in its own subdirectory dir/<base>.
-func openDurableStores(env *expr.QueryEnv, dir, fsync string, checkpointEvery int) error {
+// openDurableStore opens (or recovers) the WAL-backed store of the
+// catalog's graph domain — the graph and every materialized base — in
+// dir, reusing the gSQL OPEN statement so the catalog rebinding logic is
+// identical to an interactive OPEN.
+func openDurableStore(env *expr.QueryEnv, dir, fsync string, checkpointEvery int) error {
 	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {
 		return err
 	}
-	if env.Cat.Mat == nil {
+	var first string
+	for n := range env.Cat.Relations {
+		if env.Cat.Mat != nil && env.Cat.Mat.Base(n) != nil && (first == "" || n < first) {
+			first = n
+		}
+	}
+	if first == "" {
 		return fmt.Errorf("-data-dir needs at least one materialized base (keyed table with keywords)")
 	}
 	env.Cat.DurableOpts = core.DurableOptions{
 		Policy: policy, CheckpointEvery: checkpointEvery, Reg: obs.Default,
 	}
-	var names []string
-	for n := range env.Cat.Relations {
-		if env.Cat.Mat.Base(n) != nil {
-			names = append(names, n)
-		}
+	if _, err := gsql.NewEngine(env.Cat).Query(fmt.Sprintf("OPEN %s %s", first, dir)); err != nil {
+		return err
 	}
-	if len(names) == 0 {
-		return fmt.Errorf("-data-dir needs at least one materialized base (keyed table with keywords)")
-	}
-	sort.Strings(names)
-	eng := gsql.NewEngine(env.Cat)
-	for _, n := range names {
-		out, err := eng.Query(fmt.Sprintf("OPEN %s %s", n, filepath.Join(dir, n)))
-		if err != nil {
-			return fmt.Errorf("opening %s: %w", n, err)
-		}
-		st := env.Cat.Durable.Get(n)
-		info := st.WALInfo()
-		fmt.Printf("durable %s: dir=%s snapshot_seq=%d replayed=%d records (fsync=%s)\n",
-			n, st.Dir(), st.SnapshotSeq(), info.Records, fsync)
-		if info.Truncated {
-			fmt.Printf("durable %s: torn tail truncated during recovery\n", n)
-		}
-		_ = out
+	st := env.Cat.Durable.Store()
+	info := st.WALInfo()
+	bases := strings.Join(st.Bases(), ",")
+	fmt.Printf("durable domain %s: dir=%s snapshot_seq=%d replayed=%d records (fsync=%s)\n",
+		bases, st.Dir(), st.SnapshotSeq(), info.Records, fsync)
+	if info.Truncated {
+		fmt.Printf("durable domain %s: torn tail truncated during recovery\n", bases)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,13 +46,19 @@ func DecodeGraphUpdate(p []byte) (graph.Batch, error) {
 	return graph.LoadBatch(bytes.NewReader(p))
 }
 
-// EncodeRelationUpdate serialises a ΔD replacement relation into a WAL
-// record payload.
-func EncodeRelationUpdate(d *rel.Relation) ([]byte, error) {
+// EncodeRelationUpdate serialises a ΔD replacement relation for the
+// named base into a WAL record payload: the base name, then the
+// relation.
+func EncodeRelationUpdate(base string, d *rel.Relation) ([]byte, error) {
 	if d == nil {
 		return nil, fmt.Errorf("core: nil relation update")
 	}
 	var buf bytes.Buffer
+	w := bin.NewWriter(&buf)
+	w.String(base)
+	if err := w.Err(); err != nil {
+		return nil, err
+	}
 	if err := d.Save(&buf); err != nil {
 		return nil, err
 	}
@@ -59,15 +66,23 @@ func EncodeRelationUpdate(d *rel.Relation) ([]byte, error) {
 }
 
 // DecodeRelationUpdate parses a RecRelationUpdate payload.
-func DecodeRelationUpdate(p []byte) (*rel.Relation, error) {
-	return rel.LoadRelation(bytes.NewReader(p))
+func DecodeRelationUpdate(p []byte) (string, *rel.Relation, error) {
+	in := bytes.NewReader(p)
+	r := bin.NewReader(in)
+	base := r.String()
+	if err := r.Err(); err != nil {
+		return "", nil, err
+	}
+	d, err := rel.LoadRelation(in)
+	return base, d, err
 }
 
-// EncodeKeywordUpdate serialises a keyword set into a WAL record
-// payload.
-func EncodeKeywordUpdate(keywords []string) ([]byte, error) {
+// EncodeKeywordUpdate serialises the named base's new keyword set into a
+// WAL record payload.
+func EncodeKeywordUpdate(base string, keywords []string) ([]byte, error) {
 	var buf bytes.Buffer
 	w := bin.NewWriter(&buf)
+	w.String(base)
 	w.Strings(keywords)
 	if err := w.Err(); err != nil {
 		return nil, err
@@ -76,13 +91,14 @@ func EncodeKeywordUpdate(keywords []string) ([]byte, error) {
 }
 
 // DecodeKeywordUpdate parses a RecKeywordUpdate payload.
-func DecodeKeywordUpdate(p []byte) ([]string, error) {
+func DecodeKeywordUpdate(p []byte) (string, []string, error) {
 	r := bin.NewReader(bytes.NewReader(p))
+	base := r.String()
 	kws := r.Strings()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return kws, nil
+	return base, kws, nil
 }
 
 // DurableOptions configures OpenDurable.
@@ -111,64 +127,83 @@ type DurableOptions struct {
 // for a directory with no snapshot yet — the initial in-memory state
 // to adopt.
 type DurableBoot struct {
-	// Base is adopted as the store's state when dir holds no snapshot.
-	// Required for a fresh directory; ignored when a snapshot exists. The
-	// store takes over Base.Extractor and the graph it extracts over as
-	// its working state: from then on only the store may touch them.
+	// Base, for core.OpenDurable, is the one base of the domain the store
+	// keeps, named after its relation; Materialized.OpenDurable takes the
+	// materialisation's bases instead and refuses a Base. It is adopted
+	// as the store's state when dir holds no snapshot; with a snapshot it
+	// only names the base set the snapshot must hold. The store takes over
+	// Base.Extractor and the graph it extracts over as its working state:
+	// from then on only the store may touch them.
 	Base *BaseMaterialization
 	// Graph, when set, must be the graph Base extracts over.
 	Graph *graph.Graph
 	// Models and Cfg rebuild extractors when loading a snapshot.
 	Models Models
 	Cfg    Config
-	// Matcher drives HER during replay and future updates. Defaults to
-	// Base.Spec.Matcher when nil.
+	// Matcher drives HER during replay and future updates, for every base
+	// of the domain. Defaults to each base's Spec.Matcher when nil; a
+	// store recovered from a snapshot needs it.
 	Matcher her.Matcher
 }
 
-// Version is one published state of a store: the graph and the base's
-// (D, f(D,G), h(D,G)) as they were after the update logged at Seq, and
-// nothing of any later one. It is immutable; the store publishes a new
-// one after every update.
+// Version is one published state of a graph domain: the graph and, for
+// every base over it, (D, f(D,G), h(D,G)) as they were after the update
+// logged at Seq, and nothing of any later one. It is immutable; the store
+// publishes a new one after every update.
 type Version struct {
 	// Seq is the WAL sequence number of the last update the state
 	// contains.
 	Seq uint64
-	// G is a graph.Snapshot of the store's graph.
+	// G is a graph.Snapshot of the domain's graph.
 	G *graph.Graph
-	// Base carries D (Spec.D), h(D,G) (Extracted) and, for the joins,
-	// f(D,G) with its tid index and the state's generation.
-	Base *BaseMaterialization
+	// Bases holds, by name, each base's D (Spec.D), h(D,G) (Extracted)
+	// and, for the joins, f(D,G) with its tid index and the state's
+	// generation.
+	Bases map[string]*BaseMaterialization
 }
 
-// DurableStore is a BaseMaterialization with write-ahead-logged update
-// streams and compacted snapshots: every ApplyGraphUpdate /
-// ApplyRelationUpdate / UpdateKeywords is logged (and fsynced per
-// policy) BEFORE it is applied in memory, so an acknowledged update
-// survives a crash; recovery loads the latest snapshot and replays the
-// log suffix through the same apply the live path uses. Each store is
-// a self-contained durability domain: its snapshot includes its own
-// copy of the graph, so recovery never depends on (or repairs) state
-// shared with other bases.
+// Base returns the named base as the version holds it, or nil.
+func (v *Version) Base(name string) *BaseMaterialization {
+	if v == nil {
+		return nil
+	}
+	return v.Bases[name]
+}
+
+// DurableStore keeps one graph domain — a graph and every base extracted
+// over it — with write-ahead-logged update streams and compacted
+// snapshots: every ApplyGraphUpdate / ApplyRelationUpdate /
+// UpdateKeywords is logged (and fsynced per policy) BEFORE it is applied
+// in memory, so an acknowledged update survives a crash; recovery loads
+// the latest snapshot and replays the log suffix through the same apply
+// the live path uses. A ΔG is logged once, applied to the graph once and
+// maintains every base; a ΔD or keyword record names the base it
+// changes (DESIGN.md "One store per graph domain").
 //
 // Readers never wait for a writer. Update streams, checkpoints and Close
-// serialise on mu and work on the store's private state — the extractor
-// and its graph; what anyone else reads is the Version behind cur, which
-// a writer replaces, whole, after each update (DESIGN.md "Versions: who
-// may write what").
+// serialise on mu and work on the store's private state — the extractors
+// and their graph; what anyone else reads is the Version behind cur,
+// which a writer replaces, whole, after each update (DESIGN.md "Versions:
+// who may write what").
 type DurableStore struct {
-	mu  sync.Mutex // writers only
-	cur atomic.Pointer[Version]
+	mu     sync.Mutex // writers only
+	cur    atomic.Pointer[Version]
+	closed atomic.Bool // set by Close
 
-	dir  string
-	fs   wal.FS
-	log  *wal.Log
-	base *BaseMaterialization // the writer's side of the last published version
-	g    *graph.Graph         // the working graph base.Extractor extracts over
+	dir string
+	fs  wal.FS
+	log *wal.Log
+	g   *graph.Graph // the working graph every base's extractor extracts over
+	// names are the domain's bases, sorted: the order a ΔG maintains them
+	// in. Fixed at open.
+	names []string
+	// bases are the writer's side of the last published version: a base's
+	// extractor, and the Spec it publishes under.
+	bases map[string]*BaseMaterialization
 
 	models  Models
 	cfg     Config
-	matcher her.Matcher
+	matcher her.Matcher // boot.Matcher; nil leaves each base its own
 	opts    DurableOptions
 
 	snapSeq         atomic.Uint64 // seq covered by the newest snapshot
@@ -191,13 +226,34 @@ const (
 
 func snapName(seq uint64) string { return fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix) }
 
-// OpenDurable opens (creating if needed) the durable store in dir.
-// With a snapshot on disk, the snapshot state is loaded and the WAL
-// suffix replayed — boot.Base is ignored. With a fresh directory, the
-// store adopts boot.Base/boot.Graph and starts logging. When ctx
-// carries an obs trace, recovery reports a span tree
+// ErrDomainBases reports a snapshot whose bases are not the ones the
+// caller opens the domain with.
+var ErrDomainBases = errors.New("snapshot holds another set of bases")
+
+// OpenDurable opens (creating if needed) the durable store in dir over a
+// one-base domain: boot.Base, named after its relation. With a snapshot
+// on disk, the snapshot state is loaded and the WAL suffix replayed; with
+// no boot.Base that recovers whatever domain the snapshot holds. With a
+// fresh directory, the store adopts boot.Base and its graph and starts
+// logging. When ctx carries an obs trace, recovery reports a span tree
 // (durable_recover → snapshot_load / wal_open / wal_replay).
 func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts DurableOptions) (*DurableStore, error) {
+	var bases map[string]*BaseMaterialization
+	if b := boot.Base; b != nil {
+		if b.Extractor == nil || b.Extractor.s == nil {
+			return nil, fmt.Errorf("core: durable boot: Base has no extractor over a relation")
+		}
+		if boot.Graph != nil && boot.Graph != b.Extractor.g {
+			return nil, fmt.Errorf("core: durable boot: Graph is not the graph Base extracts over")
+		}
+		bases = map[string]*BaseMaterialization{b.Extractor.s.Schema.Name: b}
+	}
+	return openDomain(ctx, dir, bases, boot, opts)
+}
+
+// openDomain opens the store of the domain bases form (all extracting
+// over one graph); nil bases recover the snapshot's domain.
+func openDomain(ctx context.Context, dir string, bases map[string]*BaseMaterialization, boot DurableBoot, opts DurableOptions) (*DurableStore, error) {
 	fs := opts.FS
 	if fs == nil {
 		fs = wal.OSFS{}
@@ -223,29 +279,18 @@ func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts Durable
 	if err != nil {
 		return nil, err
 	}
-	if s.base == nil {
-		if boot.Base == nil || boot.Base.Extractor == nil {
-			return nil, fmt.Errorf("core: durable dir %s has no snapshot and no boot state was supplied", dir)
+	switch {
+	case s.bases != nil && bases != nil && !slices.Equal(s.names, sortedNames(bases)):
+		return nil, fmt.Errorf("core: durable dir %s: %w: %v, opened with %v", dir, ErrDomainBases, s.names, sortedNames(bases))
+	case s.bases == nil:
+		if err := s.adopt(dir, bases); err != nil {
+			return nil, err
 		}
-		if boot.Graph != nil && boot.Graph != boot.Base.Extractor.g {
-			return nil, fmt.Errorf("core: durable boot: Graph is not the graph Base extracts over")
-		}
-		s.base = boot.Base
-		s.g = boot.Base.Extractor.g
-	}
-	if s.matcher == nil {
-		s.matcher = s.base.Spec.Matcher
-	}
-	if s.matcher == nil {
-		return nil, fmt.Errorf("core: durable store needs a matcher (boot.Matcher or Base.Spec.Matcher)")
 	}
 	s.snapSeq.Store(seq)
-	store := ""
-	if d := s.base.Extractor.s; d != nil {
-		store = d.Schema.Name
-	}
-	s.versionSeq = opts.Reg.Gauge("core_version_seq", "store", store)
-	s.publishSec = opts.Reg.Histogram("core_version_publish_seconds", nil, "store", store)
+	label := strings.Join(s.names, ",")
+	s.versionSeq = opts.Reg.Gauge("core_version_seq", "store", label)
+	s.publishSec = opts.Reg.Histogram("core_version_publish_seconds", nil, "store", label)
 
 	// 2. WAL recovery.
 	walSpan := root.StartChild("wal_open")
@@ -272,9 +317,50 @@ func OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts Durable
 	// in between.
 	s.publish(ctx, l.LastSeq())
 	obs.LoggerFromContext(ctx).Info("durable store opened",
-		"dir", dir, "snapshot_seq", seq, "wal_records", len(l.Records()),
+		"dir", dir, "bases", label, "snapshot_seq", seq, "wal_records", len(l.Records()),
 		"replay_skipped", s.replaySkipped, "truncated", l.Info().Truncated)
 	return s, nil
+}
+
+// adopt makes the boot bases, which have no snapshot yet, the store's
+// working state.
+func (s *DurableStore) adopt(dir string, bases map[string]*BaseMaterialization) error {
+	if len(bases) == 0 {
+		return fmt.Errorf("core: durable dir %s has no snapshot and no boot state was supplied", dir)
+	}
+	s.names = sortedNames(bases)
+	s.bases = make(map[string]*BaseMaterialization, len(bases))
+	for _, name := range s.names {
+		b := bases[name]
+		ex := b.Extractor
+		if ex == nil || ex.s == nil || ex.scheme == nil || ex.result == nil {
+			return fmt.Errorf("core: durable boot: base %s has no completed RExt run", name)
+		}
+		if s.g == nil {
+			s.g = ex.g
+		} else if ex.g != s.g {
+			return fmt.Errorf("core: durable boot: base %s extracts over another graph than %s", name, s.names[0])
+		}
+		matcher := s.matcher
+		if matcher == nil {
+			matcher = b.Spec.Matcher
+		}
+		if matcher == nil {
+			return fmt.Errorf("core: durable store needs a matcher (boot.Matcher or Base.Spec.Matcher)")
+		}
+		s.bases[name] = &BaseMaterialization{Spec: BaseSpec{AR: b.Spec.AR, Matcher: matcher}, Extractor: ex}
+	}
+	return nil
+}
+
+// sortedNames returns the keys of bases, sorted.
+func sortedNames(bases map[string]*BaseMaterialization) []string {
+	names := make([]string, 0, len(bases))
+	for n := range bases {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // loadLatestSnapshot restores the newest readable snapshot, returning
@@ -319,24 +405,22 @@ func (s *DurableStore) loadLatestSnapshot() (uint64, error) {
 
 // snapshotVersion is the layout encodeSnapshot writes and the only one
 // decodeSnapshot reads. Version 1 carried a second match section
-// (build-time f(D,G) beside the current one); no snapshot outlives the
-// process that wrote it anywhere this repo runs, so it has no reader.
-const snapshotVersion = 2
+// (build-time f(D,G) beside the current one); version 2 held one base
+// and its own copy of the graph. No snapshot outlives the process that
+// wrote it anywhere this repo runs, so neither has a reader.
+const snapshotVersion = 3
 
 // ErrSnapshotVersion reports a snapshot in a layout this build does not
 // read.
 var ErrSnapshotVersion = errors.New("unsupported snapshot version")
 
-// encodeSnapshot serialises the full store state: the covered seq, the
-// graph (exact structural fidelity), the current reference relation D,
-// the base materialisation (AR, current f(D,G), current h(D,G),
-// scheme), and the refined pattern clusters (which UpdateKeywords
-// re-ranks and which no other codec persists).
+// encodeSnapshot serialises the full domain state: the covered seq, the
+// graph (exact structural fidelity), and per base, in name order, its
+// name, the current reference relation D, the base materialisation (AR,
+// current f(D,G), current h(D,G), scheme) and the refined pattern
+// clusters (which UpdateKeywords re-ranks and which no other codec
+// persists).
 func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
-	ex := s.base.Extractor
-	if ex == nil || ex.s == nil || ex.scheme == nil || ex.result == nil {
-		return fmt.Errorf("core: snapshot requires a completed RExt run")
-	}
 	w := bin.NewWriter(buf)
 	w.Header("snapshot", snapshotVersion)
 	w.U64(seq)
@@ -346,10 +430,27 @@ func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
 	if err := s.g.Save(buf); err != nil {
 		return err
 	}
+	w.Int(len(s.names))
+	for _, name := range s.names {
+		w.String(name)
+		if err := w.Err(); err != nil {
+			return err
+		}
+		if err := encodeBase(buf, w, s.bases[name]); err != nil {
+			return err
+		}
+	}
+	return w.Err()
+}
+
+// encodeBase writes one base section of a snapshot: D, the base
+// materialisation and the refined pattern clusters.
+func encodeBase(buf *bytes.Buffer, w *bin.Writer, b *BaseMaterialization) error {
+	ex := b.Extractor
 	if err := ex.s.Save(buf); err != nil {
 		return err
 	}
-	if err := SaveBase(buf, s.base); err != nil {
+	if err := SaveBase(buf, b); err != nil {
 		return err
 	}
 	w.Int(ex.totalPaths)
@@ -375,7 +476,7 @@ func (s *DurableStore) encodeSnapshot(buf *bytes.Buffer, seq uint64) error {
 	return w.Err()
 }
 
-// decodeSnapshot rebuilds store state from an encodeSnapshot image.
+// decodeSnapshot rebuilds the domain state from an encodeSnapshot image.
 func (s *DurableStore) decodeSnapshot(data []byte) (uint64, error) {
 	in := bytes.NewReader(data)
 	r := bin.NewReader(in)
@@ -386,17 +487,44 @@ func (s *DurableStore) decodeSnapshot(data []byte) (uint64, error) {
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
+	if s.matcher == nil {
+		return 0, fmt.Errorf("core: durable store recovering a snapshot needs boot.Matcher")
+	}
 	g, err := graph.Load(in)
 	if err != nil {
 		return 0, fmt.Errorf("graph section: %w", err)
 	}
+	n := r.Len()
+	var names []string
+	bases := map[string]*BaseMaterialization{}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.String()
+		if err := r.Err(); err != nil {
+			break
+		}
+		b, err := s.decodeBase(in, r, g)
+		if err != nil {
+			return 0, fmt.Errorf("base %s: %w", name, err)
+		}
+		names = append(names, name)
+		bases[name] = b
+	}
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	s.g, s.names, s.bases = g, names, bases
+	return seq, nil
+}
+
+// decodeBase reads one base section of a snapshot over its graph g.
+func (s *DurableStore) decodeBase(in *bytes.Reader, r *bin.Reader, g *graph.Graph) (*BaseMaterialization, error) {
 	d, err := rel.LoadRelation(in)
 	if err != nil {
-		return 0, fmt.Errorf("relation section: %w", err)
+		return nil, fmt.Errorf("relation section: %w", err)
 	}
 	base, err := LoadBase(in, d, g, s.models, s.matcher, s.cfg)
 	if err != nil {
-		return 0, fmt.Errorf("base section: %w", err)
+		return nil, fmt.Errorf("base section: %w", err)
 	}
 	ex := base.Extractor
 	ex.totalPaths = r.Int()
@@ -422,12 +550,10 @@ func (s *DurableStore) decodeSnapshot(data []byte) (uint64, error) {
 		clusters = append(clusters, sc)
 	}
 	if err := r.Err(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	ex.clusters = clusters
-	s.base = base
-	s.g = g
-	return seq, nil
+	return &BaseMaterialization{Spec: BaseSpec{AR: base.Spec.AR, Matcher: s.matcher}, Extractor: ex}, nil
 }
 
 // replay re-applies every WAL record past snapSeq to the in-memory
@@ -452,61 +578,95 @@ func (s *DurableStore) replay(ctx context.Context, snapSeq uint64) error {
 	return nil
 }
 
-// apply decodes one logged update and applies it to the store's working
+// apply decodes one logged update and applies it to the domain's working
 // state. The live path calls it on the record it has just appended and
 // replay on every record past the snapshot, so the two cannot drift.
 // Nothing it changes is visible to a reader before publish. Decode
 // failures are impossible for records the store wrote (CRC-verified) and
 // surface like apply failures do.
 func (s *DurableStore) apply(ctx context.Context, rec wal.Record) (IncStats, error) {
-	ex := s.base.Extractor
-	var st IncStats
-	var err error
 	switch rec.Type {
 	case RecGraphUpdate:
-		var delta graph.Batch
-		if delta, err = DecodeGraphUpdate(rec.Payload); err == nil {
-			st, err = ex.ApplyGraphUpdateContext(ctx, delta, s.matcher)
+		delta, err := DecodeGraphUpdate(rec.Payload)
+		if err != nil {
+			return IncStats{}, err
 		}
+		return s.applyGraph(ctx, delta), nil
 	case RecRelationUpdate:
-		var d *rel.Relation
-		if d, err = DecodeRelationUpdate(rec.Payload); err == nil {
-			st, err = ex.ApplyRelationUpdateContext(ctx, d, s.matcher)
+		name, d, err := DecodeRelationUpdate(rec.Payload)
+		if err == nil {
+			err = s.checkBase(name)
 		}
+		if err != nil {
+			return IncStats{}, err
+		}
+		b := s.bases[name]
+		return b.Extractor.ApplyRelationUpdateContext(ctx, d, b.Spec.Matcher)
 	case RecKeywordUpdate:
-		var kws []string
-		if kws, err = DecodeKeywordUpdate(rec.Payload); err == nil {
-			_, err = ex.UpdateKeywordsContext(ctx, kws)
+		name, kws, err := DecodeKeywordUpdate(rec.Payload)
+		if err == nil {
+			err = s.checkBase(name)
 		}
-	default:
-		err = fmt.Errorf("core: unknown WAL record type %d", rec.Type)
+		if err != nil {
+			return IncStats{}, err
+		}
+		_, err = s.bases[name].Extractor.UpdateKeywordsContext(ctx, kws)
+		return IncStats{}, err
 	}
-	return st, err
+	return IncStats{}, fmt.Errorf("core: unknown WAL record type %d", rec.Type)
+}
+
+// applyGraph applies ΔG to the domain's graph once, then runs IncExt for
+// every base over it, in name order, on the vertices the batch touched.
+// The bases' statistics add up; Touched counts the batch's vertices once.
+func (s *DurableStore) applyGraph(ctx context.Context, delta graph.Batch) IncStats {
+	start := time.Now()
+	touched := delta.Apply(s.g)
+	st := IncStats{Touched: len(touched)}
+	for _, name := range s.names {
+		b := s.bases[name]
+		bs := b.Extractor.maintainGraphUpdate(ctx, start, delta, touched, b.Spec.Matcher)
+		st.Candidates += bs.Candidates
+		st.Reselected += bs.Reselected
+		st.Affected += bs.Affected
+		st.Removed += bs.Removed
+		start = time.Now()
+	}
+	return st
 }
 
 // publish makes the working state, which contains every update up to
 // seq, the store's version: the one place cur is stored to, called
-// directly after the extractor's commit point (Extractor.install) by the
-// live path and once, after the last record, by recovery. The state the
-// extractor installed is immutable and shared as it is; the graph is
+// directly after the extractors' commit points (Extractor.install) by the
+// live path and once, after the last record, by recovery. A state an
+// extractor installed is immutable and shared as it is, and a base whose
+// state the update left alone keeps its published value; the graph is
 // snapshotted, unless the update left it alone and the last version's
 // snapshot still stands. Readers holding the previous version keep it.
 func (s *DurableStore) publish(ctx context.Context, seq uint64) {
 	start := time.Now()
-	ex := s.base.Extractor
+	prev := s.Version()
 	g := s.g
-	if prev := s.Version(); prev != nil && prev.G.Mutations() == g.Mutations() {
+	if prev != nil && prev.G.Mutations() == g.Mutations() {
 		g = prev.G
 	} else {
 		g = g.Snapshot()
 	}
-	s.base = &BaseMaterialization{
-		Spec:      BaseSpec{D: ex.s, AR: s.base.Spec.AR, Matcher: s.matcher},
-		Extractor: ex,
-		Extracted: ex.result,
-		state:     ex.baseState,
+	bases := make(map[string]*BaseMaterialization, len(s.names))
+	for _, name := range s.names {
+		b := s.bases[name]
+		if ex := b.Extractor; b.state != ex.baseState {
+			b = &BaseMaterialization{
+				Spec:      BaseSpec{D: ex.s, AR: b.Spec.AR, Matcher: b.Spec.Matcher},
+				Extractor: ex,
+				Extracted: ex.result,
+				state:     ex.baseState,
+			}
+			s.bases[name] = b
+		}
+		bases[name] = b
 	}
-	s.cur.Store(&Version{Seq: seq, G: g, Base: s.base})
+	s.cur.Store(&Version{Seq: seq, G: g, Bases: bases})
 	took := time.Since(start)
 	s.versionSeq.Set(int64(seq))
 	s.publishSec.Observe(took.Seconds())
@@ -525,24 +685,27 @@ func (s *DurableStore) Version() *Version { return s.cur.Load() }
 // resulting state published. A logging failure returns before any state
 // changes; an apply failure leaves the record in the log, where replay
 // reproduces the same deterministic no-op, and the state as it was. It
-// returns what the step did and h(D,G) as the step left it.
-func (s *DurableStore) logThenApply(ctx context.Context, typ byte, payload []byte, encErr error) (IncStats, *rel.Relation, error) {
+// returns what the step did, with the seq the record was logged at —
+// this writer's, whatever other writers append after it.
+func (s *DurableStore) logThenApply(ctx context.Context, typ byte, payload []byte, encErr error) (IncStats, error) {
 	if encErr != nil {
-		return IncStats{}, nil, encErr
+		return IncStats{}, encErr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq, err := s.log.Append(typ, payload)
 	if err != nil {
-		return IncStats{}, nil, err
+		return IncStats{}, err
 	}
 	st, err := s.apply(ctx, wal.Record{Seq: seq, Type: typ, Payload: payload})
+	st.Seq = seq
 	s.publish(ctx, seq)
 	s.afterUpdateLocked(ctx)
-	return st, s.base.Extracted, err
+	return st, err
 }
 
-// ApplyGraphUpdate logs then applies a ΔG batch.
+// ApplyGraphUpdate logs then applies a ΔG batch to the domain's graph,
+// maintaining every base over it.
 func (s *DurableStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 	return s.ApplyGraphUpdateContext(context.Background(), delta)
 }
@@ -550,36 +713,46 @@ func (s *DurableStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 // ApplyGraphUpdateContext is ApplyGraphUpdate with tracing.
 func (s *DurableStore) ApplyGraphUpdateContext(ctx context.Context, delta graph.Batch) (IncStats, error) {
 	payload, err := EncodeGraphUpdate(delta)
-	st, _, err := s.logThenApply(ctx, RecGraphUpdate, payload, err)
-	return st, err
+	return s.logThenApply(ctx, RecGraphUpdate, payload, err)
 }
 
-// ApplyRelationUpdate logs then applies a ΔD relation replacement.
-func (s *DurableStore) ApplyRelationUpdate(d *rel.Relation) (IncStats, error) {
-	return s.ApplyRelationUpdateContext(context.Background(), d)
+// ApplyRelationUpdate logs then applies a ΔD relation replacement of the
+// named base.
+func (s *DurableStore) ApplyRelationUpdate(base string, d *rel.Relation) (IncStats, error) {
+	return s.ApplyRelationUpdateContext(context.Background(), base, d)
 }
 
 // ApplyRelationUpdateContext is ApplyRelationUpdate with tracing.
-func (s *DurableStore) ApplyRelationUpdateContext(ctx context.Context, d *rel.Relation) (IncStats, error) {
-	payload, err := EncodeRelationUpdate(d)
-	st, _, err := s.logThenApply(ctx, RecRelationUpdate, payload, err)
-	return st, err
+func (s *DurableStore) ApplyRelationUpdateContext(ctx context.Context, base string, d *rel.Relation) (IncStats, error) {
+	if err := s.checkBase(base); err != nil {
+		return IncStats{}, err
+	}
+	payload, err := EncodeRelationUpdate(base, d)
+	return s.logThenApply(ctx, RecRelationUpdate, payload, err)
 }
 
-// UpdateKeywords logs then applies an interest-set change, returning
-// the re-extracted h(D,G).
-func (s *DurableStore) UpdateKeywords(keywords []string) (*rel.Relation, error) {
-	return s.UpdateKeywordsContext(context.Background(), keywords)
+// UpdateKeywords logs then applies an interest-set change of the named
+// base; its re-extracted h(D,G) is in the version the step published.
+func (s *DurableStore) UpdateKeywords(base string, keywords []string) (IncStats, error) {
+	return s.UpdateKeywordsContext(context.Background(), base, keywords)
 }
 
 // UpdateKeywordsContext is UpdateKeywords with tracing.
-func (s *DurableStore) UpdateKeywordsContext(ctx context.Context, keywords []string) (*rel.Relation, error) {
-	payload, err := EncodeKeywordUpdate(keywords)
-	_, out, err := s.logThenApply(ctx, RecKeywordUpdate, payload, err)
-	if err != nil {
-		return nil, err
+func (s *DurableStore) UpdateKeywordsContext(ctx context.Context, base string, keywords []string) (IncStats, error) {
+	if err := s.checkBase(base); err != nil {
+		return IncStats{}, err
 	}
-	return out, nil
+	payload, err := EncodeKeywordUpdate(base, keywords)
+	return s.logThenApply(ctx, RecKeywordUpdate, payload, err)
+}
+
+// checkBase refuses, before anything is logged, an update addressed to
+// a base outside the domain.
+func (s *DurableStore) checkBase(base string) error {
+	if _, ok := slices.BinarySearch(s.names, base); !ok {
+		return fmt.Errorf("core: base %q is not in the durable domain %v", base, s.names)
+	}
+	return nil
 }
 
 // afterUpdateLocked handles auto-checkpointing. Held under s.mu, which
@@ -674,9 +847,20 @@ func (s *DurableStore) checkpointLocked(ctx context.Context) error {
 	return nil
 }
 
-// Base returns the base as of the store's current version. The value is
-// immutable: a later update publishes another.
-func (s *DurableStore) Base() *BaseMaterialization { return s.Version().Base }
+// Base returns the only base of a one-base domain as of the store's
+// current version, nil in a domain of several (Version().Base(name)
+// serves every domain). The value is immutable: a later update publishes
+// another. cmd/semjoinbench, which may not be edited outside a benchmark
+// PR, calls it; delete with the next benchmark PR.
+func (s *DurableStore) Base() *BaseMaterialization {
+	if len(s.names) != 1 {
+		return nil
+	}
+	return s.Version().Base(s.names[0])
+}
+
+// Bases returns the names of the domain's bases, sorted.
+func (s *DurableStore) Bases() []string { return slices.Clone(s.names) }
 
 // Graph returns the graph as of the store's current version — a
 // snapshot that no later update changes.
@@ -707,95 +891,49 @@ func (s *DurableStore) LastCheckpointError() error {
 }
 
 // Close syncs and closes the log. The store takes no update after; its
-// last version stays readable.
+// last version stays readable. Closing a closed store does nothing.
 func (s *DurableStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed.Swap(true) {
+		return nil
+	}
 	return s.log.Close()
 }
 
-// DurableSet is the catalog-level registry of open durable stores,
-// keyed by base name. The gSQL OPEN/CHECKPOINT statements and the
-// server's ingestion op resolve stores through it.
-type DurableSet struct {
-	mu     sync.RWMutex
-	stores map[string]*DurableStore
-}
+// DurableSet is the catalog's handle on the durable store of its
+// materialisation (the gSQL OPEN statement, cmd/gsql -data-dir): at most
+// one, the store of the one graph domain the catalog's bases form.
+// CHECKPOINT and the server's ingestion op resolve the store through it.
+// It records nothing of its own: the store is the Materialized's
+// (Materialized.OpenDurable, Materialized.Durable). The zero value holds
+// none.
+type DurableSet struct{ m *Materialized }
 
-// NewDurableSet returns an empty set.
-func NewDurableSet() *DurableSet {
-	return &DurableSet{stores: map[string]*DurableStore{}}
-}
+// NewDurableSet returns the handle on m's store.
+func NewDurableSet(m *Materialized) *DurableSet { return &DurableSet{m: m} }
 
-// Put registers a store under name, failing if one is already open.
-func (ds *DurableSet) Put(name string, s *DurableStore) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if _, ok := ds.stores[name]; ok {
-		return fmt.Errorf("core: durable store %q already open", name)
-	}
-	ds.stores[name] = s
-	return nil
-}
-
-// Get returns the store for name, or nil.
-func (ds *DurableSet) Get(name string) *DurableStore {
-	if ds == nil {
+// Get returns the open store when base is one of its bases, or nil.
+func (ds *DurableSet) Get(base string) *DurableStore {
+	st := ds.Store()
+	if st == nil || st.checkBase(base) != nil {
 		return nil
 	}
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	return ds.stores[name]
+	return st
 }
 
-// Names returns the open store names, sorted.
-func (ds *DurableSet) Names() []string {
-	if ds == nil {
+// Store returns the open store, or nil.
+func (ds *DurableSet) Store() *DurableStore {
+	if ds == nil || ds.m == nil {
 		return nil
 	}
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	out := make([]string, 0, len(ds.stores))
-	for n := range ds.stores {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return ds.m.Durable()
 }
 
-// Checkpoint checkpoints one named store, or every open store when
-// name is empty.
-func (ds *DurableSet) Checkpoint(ctx context.Context, name string) error {
-	if name != "" {
-		st := ds.Get(name)
-		if st == nil {
-			return fmt.Errorf("core: no durable store %q", name)
-		}
-		return st.Checkpoint(ctx)
-	}
-	for _, n := range ds.Names() {
-		if st := ds.Get(n); st != nil {
-			if err := st.Checkpoint(ctx); err != nil {
-				return fmt.Errorf("core: checkpoint %s: %w", n, err)
-			}
-		}
-	}
-	return nil
-}
-
-// Close closes every store, keeping the first error.
+// Close closes the open store, if any (Materialized.CloseDurable).
 func (ds *DurableSet) Close() error {
-	if ds == nil {
+	if ds == nil || ds.m == nil {
 		return nil
 	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	var first error
-	for n, st := range ds.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(ds.stores, n)
-	}
-	return first
+	return ds.m.CloseDurable()
 }

@@ -71,7 +71,7 @@ func BenchmarkVersionPublish(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			g := c.G.Clone()
 			ex := NewExtractor(g, Models{}, Config{})
-			st := &DurableStore{g: g, base: &BaseMaterialization{Extractor: ex}}
+			st := &DurableStore{g: g, names: []string{"d"}, bases: map[string]*BaseMaterialization{"d": {Extractor: ex}}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -102,13 +102,12 @@ func BenchmarkReadUnderIngest(b *testing.B) {
 	}
 	ctx, stopWriter := context.WithCancel(context.Background())
 	defer stopWriter()
-	st, err := OpenDurable(ctx, "db", DurableBoot{Base: m.Base("product"), Models: w.models, Cfg: walkCfg},
+	st, err := m.OpenDurable(ctx, "db", DurableBoot{Models: w.models, Cfg: walkCfg},
 		DurableOptions{FS: wal.NewMemFS()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	m.Attach("product", st)
 
 	writerDone := make(chan struct{})
 	var writes atomic.Int64

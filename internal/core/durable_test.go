@@ -54,12 +54,13 @@ type applier interface {
 	// Graph is the graph as the last update left it.
 	Graph() *graph.Graph
 	ApplyGraphUpdate(delta graph.Batch) (IncStats, error)
-	ApplyRelationUpdate(d *rel.Relation) (IncStats, error)
-	UpdateKeywords(keywords []string) (*rel.Relation, error)
+	ApplyRelationUpdate(base string, d *rel.Relation) (IncStats, error)
+	UpdateKeywords(base string, keywords []string) (IncStats, error)
 }
 
 // memStore drives a plain BaseMaterialization's extractor through the
-// same update surface: the control a durable store is compared with.
+// same update surface: the control a durable store of the one base is
+// compared with.
 type memStore struct{ b *BaseMaterialization }
 
 func (m *memStore) Graph() *graph.Graph { return m.b.Extractor.g }
@@ -68,12 +69,13 @@ func (m *memStore) ApplyGraphUpdate(delta graph.Batch) (IncStats, error) {
 	return m.b.Extractor.ApplyGraphUpdate(delta, m.b.Spec.Matcher)
 }
 
-func (m *memStore) ApplyRelationUpdate(d *rel.Relation) (IncStats, error) {
+func (m *memStore) ApplyRelationUpdate(_ string, d *rel.Relation) (IncStats, error) {
 	return m.b.Extractor.ApplyRelationUpdate(d, m.b.Spec.Matcher)
 }
 
-func (m *memStore) UpdateKeywords(keywords []string) (*rel.Relation, error) {
-	return m.b.Extractor.UpdateKeywords(keywords)
+func (m *memStore) UpdateKeywords(_ string, keywords []string) (IncStats, error) {
+	_, err := m.b.Extractor.UpdateKeywords(keywords)
+	return IncStats{}, err
 }
 
 // applyScriptStep applies deterministic update step i to st. The same
@@ -88,11 +90,11 @@ func applyScriptStep(st applier, products *rel.Relation, i int) error {
 	case 2:
 		d := products.Clone()
 		d.InsertVals(rel.S(fmt.Sprintf("xx%02d", i)), rel.S(fmt.Sprintf("extra %02d", i)), rel.S("Funds"))
-		_, err := st.ApplyRelationUpdate(d)
+		_, err := st.ApplyRelationUpdate("product", d)
 		return err
 	default:
 		kws := [][]string{{"company"}, {"company", "country"}}[(i/4)%2]
-		_, err := st.UpdateKeywords(kws)
+		_, err := st.UpdateKeywords("product", kws)
 		return err
 	}
 }
@@ -392,14 +394,14 @@ func TestDurableKeywordUpdateAfterSnapshotReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, err := st2.UpdateKeywords([]string{"country"}); err != nil {
+	if _, err := st2.UpdateKeywords("product", []string{"country"}); err != nil {
 		t.Fatal(err)
 	}
 
 	wc, bc := durableWorld(t)
 	ctl := &memStore{b: bc}
 	applySteps(t, ctl, wc.products, 0, 2)
-	if _, err := ctl.UpdateKeywords([]string{"country"}); err != nil {
+	if _, err := ctl.UpdateKeywords("product", []string{"country"}); err != nil {
 		t.Fatal(err)
 	}
 	assertSameState(t, "post-snapshot keyword update", st2.Base(), bc, st2.Graph(), wc.g)
@@ -543,29 +545,32 @@ func TestDurableCheckpointRestoresMatchState(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsV1Snapshot: a snapshot in the two-match-section
-// layout is refused by version, with an error callers can test for.
+// TestDurableRejectsV1Snapshot: snapshots in the two-match-section
+// layout (v1) and the one-base layout (v2) are refused by version, with
+// an error callers can test for.
 func TestDurableRejectsV1Snapshot(t *testing.T) {
-	var buf bytes.Buffer
-	w := bin.NewWriter(&buf)
-	w.Header("snapshot", 1)
-	w.U64(3)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	fs := wal.NewMemFS()
-	if err := fs.MkdirAll("db"); err != nil {
-		t.Fatal(err)
-	}
-	fs.WriteFile("db/"+snapName(3), buf.Bytes())
+	for _, version := range []int{1, 2} {
+		var buf bytes.Buffer
+		w := bin.NewWriter(&buf)
+		w.Header("snapshot", version)
+		w.U64(3)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		var crc [4]byte
+		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+		buf.Write(crc[:])
+		fs := wal.NewMemFS()
+		if err := fs.MkdirAll("db"); err != nil {
+			t.Fatal(err)
+		}
+		fs.WriteFile("db/"+snapName(3), buf.Bytes())
 
-	w1, b1 := durableWorld(t)
-	_, err := OpenDurable(context.Background(), "db", durableBoot(w1, b1), DurableOptions{FS: fs})
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("OpenDurable over a v1 snapshot: %v, want ErrSnapshotVersion", err)
+		w1, b1 := durableWorld(t)
+		_, err := OpenDurable(context.Background(), "db", durableBoot(w1, b1), DurableOptions{FS: fs})
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("OpenDurable over a v%d snapshot: %v, want ErrSnapshotVersion", version, err)
+		}
 	}
 }
 
@@ -609,48 +614,62 @@ func TestDurableOnRealFilesystem(t *testing.T) {
 	assertSameState(t, "osfs reopen vs control", st2.Base(), bc, st2.Graph(), wc.g)
 }
 
-// TestDurableSetLifecycle covers the catalog-level registry: Put/Get,
-// sorted Names, checkpoint-all and Close.
+// TestDurableSetLifecycle covers the catalog-level handle and the
+// materialisation it reads the store from: one store, found by any base
+// of its domain, refused a second time while open; after Close the
+// handle and the materialisation agree there is none, views keep the
+// last version, and the domain can be opened again.
 func TestDurableSetLifecycle(t *testing.T) {
 	ctx := context.Background()
-	ds := NewDurableSet()
 	fs := wal.NewMemFS()
-	w1, b1 := durableWorld(t)
-	st, err := OpenDurable(ctx, "db", durableBoot(w1, b1), DurableOptions{Policy: wal.SyncAlways, FS: fs})
+	opts := DurableOptions{Policy: wal.SyncAlways, FS: fs}
+	w, m := durableMaterialized(t)
+	boot := DurableBoot{Models: w.models, Cfg: Config{K: 3, H: 12, Seed: 3}, Matcher: oracle(w)}
+	ds := NewDurableSet(m)
+	if ds.Store() != nil {
+		t.Fatal("a store before OPEN")
+	}
+	st, err := m.OpenDurable(ctx, "db", boot, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Put("product", st); err != nil {
-		t.Fatal(err)
+	if _, err := m.OpenDurable(ctx, "db2", boot, opts); err == nil || !strings.Contains(err.Error(), "db") {
+		t.Fatalf("second open: %v, want a refusal naming the open dir", err)
 	}
-	if err := ds.Put("product", st); err == nil {
-		t.Fatal("duplicate Put accepted")
-	}
-	if ds.Get("product") != st || ds.Get("nope") != nil {
+	if ds.Get("product") != st || ds.Get("nope") != nil || ds.Store() != st || m.Durable() != st {
 		t.Fatal("Get misrouted")
 	}
-	if names := ds.Names(); len(names) != 1 || names[0] != "product" {
-		t.Fatalf("Names = %v", names)
-	}
-	applySteps(t, st, w1.products, 0, 2)
-	if err := ds.Checkpoint(ctx, ""); err != nil {
+	applySteps(t, st, w.products, 0, 3)
+	if err := st.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.SnapshotSeq(); got != 2 {
-		t.Fatalf("checkpoint-all SnapshotSeq = %d, want 2", got)
-	}
-	if err := ds.Checkpoint(ctx, "nope"); err == nil {
-		t.Fatal("checkpoint of unknown store accepted")
-	}
+	want := m.View().Seq()
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Get("product") != nil {
-		t.Fatal("Close left store registered")
+	if ds.Get("product") != nil || ds.Store() != nil || m.Durable() != nil {
+		t.Fatal("Close left the store open")
+	}
+	if got := m.View().Seq(); got != want {
+		t.Fatalf("view after Close at seq %d, want the last version's %d", got, want)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	st2, err := m.OpenDurable(ctx, "db", boot, opts)
+	if err != nil {
+		t.Fatalf("re-open after Close: %v", err)
+	}
+	defer st2.Close()
+	if ds.Store() != st2 || m.View().Seq() != want || st2.SnapshotSeq() != want {
+		t.Fatalf("re-opened store at seq %d (snapshot %d), want %d", m.View().Seq(), st2.SnapshotSeq(), want)
 	}
 	// Nil-receiver safety for the query path.
 	var nilSet *DurableSet
-	if nilSet.Get("x") != nil || nilSet.Names() != nil || nilSet.Close() != nil {
+	if nilSet.Get("x") != nil || nilSet.Store() != nil || nilSet.Close() != nil {
 		t.Fatal("nil DurableSet misbehaved")
+	}
+	if (&DurableSet{}).Store() != nil {
+		t.Fatal("zero DurableSet holds a store")
 	}
 }

@@ -31,6 +31,9 @@ type IncStats struct {
 	// Removed is the number of DG rows dropped (entities no longer
 	// matched or deleted).
 	Removed int
+	// Seq is the WAL sequence number a DurableStore logged the step at;
+	// 0 for a step applied to an extractor directly.
+	Seq uint64
 }
 
 // ApplyGraphUpdate is IncExt for data updates (§III-B): it applies ΔG to
@@ -57,16 +60,20 @@ func (e *Extractor) ApplyGraphUpdate(delta graph.Batch, matcher her.Matcher) (In
 // counts candidates, reselected and kept walks.
 func (e *Extractor) ApplyGraphUpdateContext(ctx context.Context, delta graph.Batch, matcher her.Matcher) (IncStats, error) {
 	start := time.Now()
-	st, err := e.applyGraphUpdate(ctx, delta, matcher)
-	kept := st.Candidates - st.Reselected
-	reg := e.cfg.Obs
-	reg.Counter("core_incext_candidates_total").Add(int64(st.Candidates))
-	reg.Counter("core_incext_reselected_total").Add(int64(st.Reselected))
-	reg.Counter("core_incext_walks_kept_total").Add(int64(kept))
-	logUpdate(ctx, "graph", start, err,
-		"touched", st.Touched, "candidates", st.Candidates, "reselected", st.Reselected,
-		"kept", kept, "affected", st.Affected, "removed", st.Removed)
-	return st, err
+	if err := e.ready(); err != nil {
+		logUpdate(ctx, "graph", start, err)
+		return IncStats{}, err
+	}
+	return e.maintainGraphUpdate(ctx, start, delta, delta.Apply(e.g), matcher), nil
+}
+
+// ready reports whether IncExt can maintain e: it needs a completed RExt
+// run.
+func (e *Extractor) ready() error {
+	if e.scheme == nil || e.result == nil {
+		return fmt.Errorf("core: IncExt requires a completed RExt run")
+	}
+	return nil
 }
 
 // logUpdate reports one IncExt step on the ctx logger: a Warn with the
@@ -81,13 +88,14 @@ func logUpdate(ctx context.Context, kind string, start time.Time, err error, fie
 		"duration_ms", float64(time.Since(start))/float64(time.Millisecond))...)
 }
 
-func (e *Extractor) applyGraphUpdate(ctx context.Context, delta graph.Batch, matcher her.Matcher) (IncStats, error) {
-	if e.scheme == nil || e.result == nil {
-		return IncStats{}, fmt.Errorf("core: IncExt requires a completed RExt run")
-	}
+// maintainGraphUpdate is IncExt's maintenance of one base after ΔG has
+// been applied to the graph it extracts over, given the vertices the
+// batch touched: what ApplyGraphUpdateContext does past the apply, and
+// what a DurableStore runs for each base of its domain. start is when the
+// step began, the apply included.
+func (e *Extractor) maintainGraphUpdate(ctx context.Context, start time.Time, delta graph.Batch, touched []graph.VertexID, matcher her.Matcher) IncStats {
 	trace := obs.TraceFromContext(ctx)
-	phase := time.Now()
-	touched := delta.Apply(e.g)
+	phase := start
 
 	// Recompute the HER match relation on the updated graph.
 	newMatches := matcher.Match(e.s, e.g)
@@ -164,7 +172,16 @@ func (e *Extractor) applyGraphUpdate(ctx context.Context, delta graph.Batch, mat
 	newRows = append(newRows, rows...)
 	e.install(e.s, newMatches, &rel.Relation{Schema: e.result.Schema, Tuples: newRows})
 	trace.Phase("incext_commit", phase)
-	return st, nil
+
+	kept := st.Candidates - st.Reselected
+	reg := e.cfg.Obs
+	reg.Counter("core_incext_candidates_total").Add(int64(st.Candidates))
+	reg.Counter("core_incext_reselected_total").Add(int64(st.Reselected))
+	reg.Counter("core_incext_walks_kept_total").Add(int64(kept))
+	logUpdate(ctx, "graph", start, nil,
+		"touched", st.Touched, "candidates", st.Candidates, "reselected", st.Reselected,
+		"kept", kept, "affected", st.Affected, "removed", st.Removed)
+	return st
 }
 
 // dropStaleWalks is the one place a graph update decides "re-walk or
@@ -268,8 +285,8 @@ func (e *Extractor) ApplyRelationUpdateContext(ctx context.Context, newS *rel.Re
 }
 
 func (e *Extractor) applyRelationUpdate(newS *rel.Relation, matcher her.Matcher) (IncStats, error) {
-	if e.scheme == nil || e.result == nil {
-		return IncStats{}, fmt.Errorf("core: IncExt requires a completed RExt run")
+	if err := e.ready(); err != nil {
+		return IncStats{}, err
 	}
 	if newS == nil {
 		return IncStats{}, fmt.Errorf("core: ApplyRelationUpdate: nil relation")
@@ -339,8 +356,8 @@ func (e *Extractor) UpdateKeywordsContext(ctx context.Context, keywords []string
 }
 
 func (e *Extractor) updateKeywords(keywords []string) (*rel.Relation, error) {
-	if e.scheme == nil || e.result == nil {
-		return nil, fmt.Errorf("core: IncExt requires a completed RExt run")
+	if err := e.ready(); err != nil {
+		return nil, err
 	}
 	if len(keywords) == 0 {
 		return nil, fmt.Errorf("core: empty keyword set")

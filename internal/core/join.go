@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"semjoin/internal/graph"
@@ -137,26 +138,21 @@ type BaseSpec struct {
 // of link-join connectivity relations — so well-behaved gSQL queries run
 // as plain relational joins without invoking HER or RExt online.
 //
-// A base may be attached to a DurableStore (Attach); its state, and the
-// graph, are then whatever that store last published. A query reads
+// It is built over one graph, so it is one graph domain: OpenDurable
+// hands the graph and every base to one DurableStore, and from then on
+// their state is whatever that store last published. A query reads
 // through one View, which resolves every base and the graph once; a
 // caller that reads more than one name does the same.
 type Materialized struct {
 	// g is the graph the bases were built over. It is what a View reads
-	// while no store is attached; once one is, g is that store's working
-	// graph (or, after a snapshot recovery, nobody's) and only names the
-	// graph the catalog's aliases refer to (View.Resolve).
-	g      *graph.Graph
-	models Models
-	cfg    Config
-
+	// while no store is open; once one is, g is that store's working graph
+	// (or, after a snapshot recovery, nobody's) and only names the graph
+	// the catalog's aliases refer to (View.Resolve).
+	g     *graph.Graph
 	bases map[string]*BaseMaterialization
-	// stores are the attached stores by base name. graphStore, the last
-	// attached, names the working graph a View reads the published
-	// state of (View.G).
-	stores     map[string]*DurableStore
-	graphStore *DurableStore
-	gl         *glCache
+	// store is the durable store of the domain, nil until OpenDurable.
+	store atomic.Pointer[DurableStore]
+	gl    *glCache
 }
 
 // BaseMaterialization holds the pre-computation for one base relation.
@@ -164,7 +160,7 @@ type Materialized struct {
 // commit point; Spec.D and Extracted are the D and h(D,G) of one state.
 //
 // There are two kinds of value. One a DurableStore published
-// (Version.Base) is immutable: Spec.D, Extracted and the f(D,G) the joins
+// (Version.Bases) is immutable: Spec.D, Extracted and the f(D,G) the joins
 // read beside them are the version's state, and Extractor is the store
 // writer's — a reader may ask it what it measured (Timings, Scheme) and
 // must not read state through it or update through it. Any other is the
@@ -201,11 +197,7 @@ func (b *BaseMaterialization) AR() []string { return b.Spec.AR }
 // BuildMaterialized runs the offline preprocessing for every base
 // relation: HER matching and RExt extraction with keywords AR.
 func BuildMaterialized(g *graph.Graph, models Models, specs map[string]BaseSpec, cfg Config) (*Materialized, error) {
-	m := &Materialized{
-		g: g, models: models, cfg: cfg,
-		bases: map[string]*BaseMaterialization{},
-		gl:    newGLCache(),
-	}
+	m := &Materialized{g: g, bases: map[string]*BaseMaterialization{}, gl: newGLCache()}
 	names := make([]string, 0, len(specs))
 	for n := range specs {
 		names = append(names, n)
@@ -226,62 +218,41 @@ func BuildMaterialized(g *graph.Graph, models Models, specs map[string]BaseSpec,
 	return m, nil
 }
 
-// View is what one query reads: the graph and every base's state, each
-// attached store's taken from the one version it had published when the
-// view was made. A view never changes; a query that plans and drains
-// against one view sees one state of each store however many updates
-// commit meanwhile.
+// View is what one query reads: the graph and every base's state, taken
+// from the one version the domain's store had published when the view
+// was made. A view never changes; a query that plans and drains against
+// one view sees one state however many updates commit meanwhile.
 type View struct {
 	m *Materialized
-	// G is the graph: the published snapshot of the attached stores'
-	// working graph, or the materialisation's own graph when no store is
-	// attached.
+	// G is the graph: the version's snapshot of the domain's graph, or the
+	// materialisation's own graph while no store is open.
 	G   *graph.Graph
-	seq uint64
-	// pinned holds the version of each attached store, by base name.
-	pinned map[string]*Version
+	ver *Version // nil while no store is open
 }
 
-// View resolves the current state once. A nil Materialized has a nil
-// view, which knows no base and resolves every graph to itself.
+// View resolves the current state once: one load of the store's version.
+// A nil Materialized has a nil view, which knows no base and resolves
+// every graph to itself.
 func (m *Materialized) View() *View {
 	if m == nil {
 		return nil
 	}
-	v := &View{m: m, G: m.g}
-	if len(m.stores) == 0 {
-		return v
+	st := m.store.Load()
+	if st == nil {
+		return &View{m: m, G: m.g}
 	}
-	v.pinned = make(map[string]*Version, len(m.stores))
-	// Stores opened over one working graph (cmd/gsql -data-dir opens one
-	// per base) each publish it after their own updates only, so the
-	// graph is the most advanced of their snapshots: the working graph as
-	// the last update through any of them left it. A store that recovered
-	// a graph of its own from a snapshot shares it with nobody; between
-	// those the last attached decides.
-	var g *graph.Graph
-	for name, st := range m.stores {
-		ver := st.Version()
-		v.pinned[name] = ver
-		v.seq += ver.Seq
-		if st.g == m.graphStore.g && (g == nil || ver.G.Mutations() > g.Mutations()) {
-			g = ver.G
-		}
-	}
-	v.G = g
-	return v
+	ver := st.Version()
+	return &View{m: m, G: ver.G, ver: ver}
 }
 
-// Seq returns the number of logged updates the view contains: the WAL
-// sequence number of the version it pinned, summed over the attached
-// stores. With one store (DESIGN.md: one store per graph domain) that is
-// the store's sequence number, and the view holds exactly the updates
-// logged up to it. 0 when no store is attached.
+// Seq returns the WAL sequence number of the version the view holds: the
+// view contains exactly the updates logged up to it. 0 when no store is
+// open.
 func (v *View) Seq() uint64 {
-	if v == nil {
+	if v == nil || v.ver == nil {
 		return 0
 	}
-	return v.seq
+	return v.ver.Seq
 }
 
 // Base returns the materialisation of a base as the view holds it, or
@@ -290,20 +261,22 @@ func (v *View) Base(name string) *BaseMaterialization {
 	if v == nil {
 		return nil
 	}
-	if ver := v.pinned[name]; ver != nil {
-		return ver.Base
+	if v.ver != nil {
+		return v.ver.Base(name)
 	}
 	return v.m.bases[name]
 }
 
-// Relation returns D of a base as the store it is attached to published
-// it. A base no store publishes has none here: its D is the catalog's
-// to hold.
+// Relation returns D of a base as the domain's store published it. While
+// no store is open there is none here: D is the catalog's to hold.
 func (v *View) Relation(name string) *rel.Relation {
-	if v == nil || v.pinned[name] == nil {
+	if v == nil {
 		return nil
 	}
-	return v.pinned[name].Base.Spec.D
+	if b := v.ver.Base(name); b != nil {
+		return b.Spec.D
+	}
+	return nil
 }
 
 // Resolve maps a graph a catalog holds to the graph to read: the view's
@@ -320,28 +293,63 @@ func (v *View) Resolve(g *graph.Graph) *graph.Graph {
 // two bases, or a base and the graph, takes a View: two calls here can
 // straddle an update.
 func (m *Materialized) Base(name string) *BaseMaterialization {
-	if st := m.stores[name]; st != nil {
-		return st.Version().Base
+	if st := m.store.Load(); st != nil {
+		return st.Version().Base(name)
 	}
 	return m.bases[name]
 }
 
-// SetBase replaces (or installs) the materialisation for one base that
-// no store publishes.
+// SetBase replaces (or installs) the materialisation for one base of a
+// materialisation no store has opened.
 func (m *Materialized) SetBase(name string, b *BaseMaterialization) { m.bases[name] = b }
 
-// Attach binds a base to the durable store that now owns its state:
-// views made from here on read the base, and the graph, from what the
-// store has published. The gSQL OPEN statement calls it. Stores that
-// share a working graph are not kept coherent beyond the graph itself: an
-// update through one re-extracts that one's base only (DESIGN.md
-// "Durability domains are per base").
-func (m *Materialized) Attach(name string, st *DurableStore) {
-	if m.stores == nil {
-		m.stores = map[string]*DurableStore{}
+// OpenDurable opens (creating or recovering) the durable store in dir of
+// the domain m is: its graph and every base. boot supplies the models,
+// config and matcher, and no Base or Graph of its own. Views made from
+// here on read what the store publishes. The gSQL OPEN statement calls
+// it; a materialisation has at most one open store, so a second call
+// fails, naming the open store's directory, until CloseDurable.
+func (m *Materialized) OpenDurable(ctx context.Context, dir string, boot DurableBoot, opts DurableOptions) (*DurableStore, error) {
+	if boot.Base != nil || boot.Graph != nil {
+		return nil, fmt.Errorf("core: Materialized.OpenDurable opens the materialisation's own bases and graph")
 	}
-	m.stores[name] = st
-	m.graphStore = st
+	prev := m.store.Load()
+	if prev != nil && !prev.closed.Load() {
+		return nil, fmt.Errorf("core: a durable store is already open in %s", prev.dir)
+	}
+	for name, b := range m.bases {
+		if b.Extractor == nil || b.Extractor.g != m.g {
+			return nil, fmt.Errorf("core: base %s does not extract over the materialisation's graph", name)
+		}
+	}
+	st, err := openDomain(ctx, dir, m.bases, boot, opts)
+	if err != nil {
+		return nil, err
+	}
+	if !m.store.CompareAndSwap(prev, st) {
+		st.Close()
+		return nil, fmt.Errorf("core: a durable store is already open in %s", m.store.Load().dir)
+	}
+	return st, nil
+}
+
+// Durable returns the domain's open store: nil before OpenDurable and
+// after CloseDurable.
+func (m *Materialized) Durable() *DurableStore {
+	if st := m.store.Load(); st != nil && !st.closed.Load() {
+		return st
+	}
+	return nil
+}
+
+// CloseDurable closes the domain's open store, if any. Views go on
+// reading the version it last published until an OpenDurable replaces
+// it.
+func (m *Materialized) CloseDurable() error {
+	if st := m.store.Load(); st != nil {
+		return st.Close()
+	}
+	return nil
 }
 
 // WellBehavedKeywords reports whether A ⊆ AR for the named base relation

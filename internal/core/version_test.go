@@ -39,10 +39,11 @@ func TestDurableVersionsAreImmutable(t *testing.T) {
 	}
 	hold := func() held {
 		v := st.Version()
-		if v.Base != st.Base() || v.G != st.Graph() {
+		if v.Base("product") != st.Base() || v.G != st.Graph() {
 			t.Fatal("Base()/Graph() are not the current version's")
 		}
-		return held{v, graphBytes(t, v.G), v.Base.Extracted.Clone(), v.Base.Spec.D.Clone(), v.Base.MatchRelation().Clone()}
+		b := v.Base("product")
+		return held{v, graphBytes(t, v.G), b.Extracted.Clone(), b.Spec.D.Clone(), b.MatchRelation().Clone()}
 	}
 	var history []held
 	history = append(history, hold())
@@ -55,13 +56,13 @@ func TestDurableVersionsAreImmutable(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		h := hold()
-		if h.ver == prev || h.ver.Base == prev.Base || h.ver.Base.state == prev.Base.state {
+		if h.ver == prev || h.ver.Base("product") == prev.Base("product") || h.ver.Base("product").state == prev.Base("product").state {
 			t.Fatalf("step %d published no new version", i)
 		}
 		if h.ver.Seq != uint64(i+1) {
 			t.Fatalf("step %d published seq %d", i, h.ver.Seq)
 		}
-		if h.ver.Base.Extracted == prev.Base.Extracted {
+		if h.ver.Base("product").Extracted == prev.Base("product").Extracted {
 			t.Fatalf("step %d: h(D,G) of the new version is the relation the old one holds", i)
 		}
 		// A graph step publishes a new snapshot; the others share the
@@ -70,8 +71,8 @@ func TestDurableVersionsAreImmutable(t *testing.T) {
 		if graphStep := i%4 < 2; graphStep == (h.ver.G == prev.G) {
 			t.Fatalf("step %d: graph snapshot renewed = %v, want %v", i, h.ver.G != prev.G, graphStep)
 		}
-		if relationStep := i%4 == 2; relationStep == (h.ver.Base.Spec.D == prev.Base.Spec.D) {
-			t.Fatalf("step %d: D replaced = %v, want %v", i, h.ver.Base.Spec.D != prev.Base.Spec.D, relationStep)
+		if relationStep := i%4 == 2; relationStep == (h.ver.Base("product").Spec.D == prev.Base("product").Spec.D) {
+			t.Fatalf("step %d: D replaced = %v, want %v", i, h.ver.Base("product").Spec.D != prev.Base("product").Spec.D, relationStep)
 		}
 		history = append(history, h)
 	}
@@ -79,8 +80,8 @@ func TestDurableVersionsAreImmutable(t *testing.T) {
 		if !bytes.Equal(graphBytes(t, h.ver.G), h.graph) {
 			t.Errorf("version %d: graph changed after it was published", i)
 		}
-		if !sameRelation(h.ver.Base.Extracted, h.extracted) || !sameRelation(h.ver.Base.Spec.D, h.d) ||
-			!sameRelation(h.ver.Base.MatchRelation(), h.matches) {
+		if !sameRelation(h.ver.Base("product").Extracted, h.extracted) || !sameRelation(h.ver.Base("product").Spec.D, h.d) ||
+			!sameRelation(h.ver.Base("product").MatchRelation(), h.matches) {
 			t.Errorf("version %d: base state changed after it was published", i)
 		}
 	}
@@ -152,13 +153,12 @@ func TestReadCompletesDuringParkedCheckpoint(t *testing.T) {
 	ctx := context.Background()
 	fs := &blockingFS{MemFS: wal.NewMemFS(), parked: make(chan struct{}), release: make(chan struct{})}
 	w, m := durableMaterialized(t)
-	st, err := OpenDurable(ctx, "db", DurableBoot{Base: m.Base("product"), Models: w.models, Cfg: Config{K: 3, H: 12, Seed: 3}},
+	st, err := m.OpenDurable(ctx, "db", DurableBoot{Models: w.models, Cfg: Config{K: 3, H: 12, Seed: 3}},
 		DurableOptions{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m.Attach("product", st)
 	applySteps(t, st, w.products, 0, 2)
 
 	checkpointed := make(chan error, 1)
@@ -222,13 +222,12 @@ func TestReadsBesideSaturatingWriter(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	w, m := durableMaterialized(t)
-	st, err := OpenDurable(ctx, "db", DurableBoot{Base: m.Base("product"), Models: w.models, Cfg: Config{K: 3, H: 12, Seed: 3}},
+	st, err := m.OpenDurable(ctx, "db", DurableBoot{Models: w.models, Cfg: Config{K: 3, H: 12, Seed: 3}},
 		DurableOptions{FS: wal.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m.Attach("product", st)
 
 	var batches atomic.Int64
 	var writer, reading sync.WaitGroup

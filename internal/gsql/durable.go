@@ -9,11 +9,14 @@ import (
 )
 
 // openDurable handles OPEN <base> <dir>: it opens (creating or
-// recovering) the write-ahead-logged store for a materialized base and
-// attaches the base to it. Nothing in the catalog is rebound: queries
-// resolve the base, its reference relation (Catalog.Relation) and every
-// graph name bound to the materialisation's graph (Catalog.Graph)
-// through the version the store has published.
+// recovering) the write-ahead-logged store of the graph domain <base>
+// belongs to — the materialisation's graph and every base over it, not
+// <base> alone. A catalog has one such store, so a second OPEN is refused.
+// Nothing in the catalog is rebound: queries resolve the bases, their
+// reference relations (Catalog.Relation) and every graph name bound to
+// the materialisation's graph (Catalog.Graph) through the version the
+// store has published. The status relation has a row per base of the
+// domain.
 func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("gsql: usage: OPEN <base> <dir>")
@@ -23,26 +26,17 @@ func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation,
 	if cat == nil || cat.Mat == nil || cat.Mat.Base(name) == nil {
 		return nil, fmt.Errorf("gsql: OPEN %s: no materialized base by that name", name)
 	}
-	if cat.Durable == nil {
-		cat.Durable = core.NewDurableSet()
-	}
-	if cat.Durable.Get(name) != nil {
-		return nil, fmt.Errorf("gsql: durable store %q already open", name)
-	}
 	cfg := cat.RExt
 	cfg.K = cat.K
-	st, err := core.OpenDurable(ctx, dir, core.DurableBoot{
-		Base:   cat.Mat.Base(name),
+	st, err := cat.Mat.OpenDurable(ctx, dir, core.DurableBoot{
 		Models: cat.Models, Cfg: cfg, Matcher: cat.Matcher,
 	}, cat.DurableOpts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cat.Durable.Put(name, st); err != nil {
-		st.Close()
-		return nil, err
+	if cat.Durable == nil {
+		cat.Durable = core.NewDurableSet(cat.Mat)
 	}
-	cat.Mat.Attach(name, st)
 	info := st.WALInfo()
 	out := rel.NewRelation(rel.NewSchema("status", "",
 		rel.Attribute{Name: "base", Type: rel.KindString},
@@ -55,38 +49,40 @@ func (e *Engine) openDurable(ctx context.Context, args []string) (*rel.Relation,
 	if info.Truncated {
 		trunc = "true"
 	}
-	out.InsertVals(rel.S(name), rel.S(dir),
-		rel.I(int64(st.SnapshotSeq())), rel.I(int64(info.Records)), rel.S(trunc))
+	for _, base := range st.Bases() {
+		out.InsertVals(rel.S(base), rel.S(dir),
+			rel.I(int64(st.SnapshotSeq())), rel.I(int64(info.Records)), rel.S(trunc))
+	}
 	return out, nil
 }
 
-// checkpointDurable handles CHECKPOINT [<base>]: it snapshots one
-// named durable store — or all of them — and compacts their logs.
+// checkpointDurable handles CHECKPOINT [<base>]: it snapshots the open
+// durable store — the domain <base>, when named, must belong to — and
+// compacts its log. The status relation has a row per base of the
+// domain.
 func (e *Engine) checkpointDurable(ctx context.Context, args []string) (*rel.Relation, error) {
 	if len(args) > 1 {
 		return nil, fmt.Errorf("gsql: usage: CHECKPOINT [<base>]")
 	}
-	cat := e.Cat
-	if cat == nil || cat.Durable == nil || len(cat.Durable.Names()) == 0 {
-		return nil, fmt.Errorf("gsql: no durable stores open (use OPEN <base> <dir>)")
+	var st *core.DurableStore
+	if e.Cat != nil {
+		st = e.Cat.Durable.Store()
 	}
-	name := ""
-	if len(args) == 1 {
-		name = args[0]
+	if st == nil {
+		return nil, fmt.Errorf("gsql: no durable store open (use OPEN <base> <dir>)")
 	}
-	if err := cat.Durable.Checkpoint(ctx, name); err != nil {
+	if len(args) == 1 && e.Cat.Durable.Get(args[0]) == nil {
+		return nil, fmt.Errorf("gsql: CHECKPOINT %s: no such base in the open store's domain %v", args[0], st.Bases())
+	}
+	if err := st.Checkpoint(ctx); err != nil {
 		return nil, err
-	}
-	targets := cat.Durable.Names()
-	if name != "" {
-		targets = []string{name}
 	}
 	out := rel.NewRelation(rel.NewSchema("status", "",
 		rel.Attribute{Name: "base", Type: rel.KindString},
 		rel.Attribute{Name: "snapshot_seq", Type: rel.KindInt},
 	))
-	for _, n := range targets {
-		out.InsertVals(rel.S(n), rel.I(int64(cat.Durable.Get(n).SnapshotSeq())))
+	for _, base := range st.Bases() {
+		out.InsertVals(rel.S(base), rel.I(int64(st.SnapshotSeq())))
 	}
 	return out, nil
 }

@@ -47,10 +47,11 @@ type Catalog struct {
 	// RExt is the template configuration for online extractions.
 	RExt core.Config
 
-	// Durable registers the write-ahead-logged stores opened with the
-	// OPEN statement (or -data-dir at startup). A query reads the
-	// version each of them had published when it started and takes no
-	// lock, so streamed updates neither race a scan nor hold one up.
+	// Durable holds the write-ahead-logged store opened with the OPEN
+	// statement (or -data-dir at startup): one, the store of the graph
+	// domain Mat is. A query reads the version it had published when the
+	// query started and takes no lock, so streamed updates neither race a
+	// scan nor hold one up.
 	Durable *core.DurableSet
 	// DurableOpts configures stores opened through this catalog
 	// (fsync policy, segment size, auto-checkpoint cadence).
@@ -281,9 +282,9 @@ func (e *Engine) pin() {
 // it creates one, finishes it with the outcome status, and retains it
 // in the trace store when the tracer's sampling says so.
 func (e *Engine) run(ctx context.Context, input string) (*rel.Relation, *Query, error) {
-	// The one place a query meets the durable stores: one atomic load
-	// per open store, and the plan and the drain below read that version
-	// of each whatever commits meanwhile. No lock is taken.
+	// The one place a query meets the durable store: one load of its
+	// version, and the plan and the drain below read that version
+	// whatever commits meanwhile. No lock is taken.
 	e.pin()
 	e.LastVersionSeq = e.view.Seq()
 	reg := e.reg()

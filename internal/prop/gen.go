@@ -20,7 +20,14 @@
 //     over a materialisation built from scratch on the current (D, G)
 //     (oracle_fresh.go);
 //  8. a WAL-backed store crashing mid-stream and recovering must end
-//     in the state of an uninterrupted run (oracle_crash.go).
+//     in the state of an uninterrupted run (oracle_crash.go);
+//  9. reads racing an update stream must each equal the same read over
+//     a materialisation built from scratch on the WAL prefix it reports
+//     (oracle_isolation.go).
+//
+// The stores of oracles 7–9 keep the workload's one graph domain: the
+// graph and both bases over it, with relation and keyword steps for
+// either base.
 //
 // Every run is deterministic in its seed. A failing seed shrinks
 // automatically (prop.go) and prints a one-line PROP_SEED=<n> replay
@@ -174,10 +181,15 @@ func NewWorkload(seed int64) *Workload {
 
 // Materialize runs the offline pre-computation for both bases.
 func (w *Workload) Materialize() (*core.Materialized, error) {
-	return core.BuildMaterialized(w.G, w.Models, map[string]core.BaseSpec{
+	return core.BuildMaterialized(w.G, w.Models, w.specs(), w.Cfg)
+}
+
+// specs are the workload's two bases.
+func (w *Workload) specs() map[string]core.BaseSpec {
+	return map[string]core.BaseSpec{
 		"product":  {D: w.Products, AR: w.AR, Matcher: w.Matcher},
 		"customer": {D: w.Customers, AR: []string{"company", "product"}, Matcher: w.Matcher},
-	}, w.Cfg)
+	}
 }
 
 // Catalog builds the gsql catalog the engine oracles run against.
@@ -222,10 +234,13 @@ const (
 // selectors rather than concrete rows: Remove picks among the rows
 // currently present (modulo their count), Restore among the rows
 // currently absent — so a stream remains applicable, and deterministic,
-// after a shrinker has dropped arbitrary prefixes of it.
+// after a shrinker has dropped arbitrary prefixes of it. A graph step
+// changes the graph every base extracts over; a relation or keyword step
+// changes one base, Base.
 type Step struct {
 	Kind     StepKind
 	Batch    graph.Batch // StepGraph
+	Base     string      // StepRelation, StepKeywords: "product" or "customer"
 	Remove   []int       // StepRelation: selectors into present rows
 	Restore  []int       // StepRelation: selectors into absent rows
 	Keywords []string    // StepKeywords
@@ -236,9 +251,9 @@ func (s Step) String() string {
 	case StepGraph:
 		return fmt.Sprintf("graph(%d updates)", len(s.Batch))
 	case StepRelation:
-		return fmt.Sprintf("relation(remove %v, restore %v)", s.Remove, s.Restore)
+		return fmt.Sprintf("relation %s(remove %v, restore %v)", s.Base, s.Remove, s.Restore)
 	default:
-		return fmt.Sprintf("keywords(%s)", strings.Join(s.Keywords, ","))
+		return fmt.Sprintf("keywords %s(%s)", s.Base, strings.Join(s.Keywords, ","))
 	}
 }
 
@@ -267,10 +282,14 @@ func (s Stream) Updates() int {
 // against a scratch copy of the graph that evolves with the stream, so
 // later steps reference vertices and edges that plausibly exist; if a
 // shrinker drops earlier steps, later batches degrade gracefully
-// (Batch.Apply skips operations on non-live endpoints).
+// (Batch.Apply skips operations on non-live endpoints). Relation and
+// keyword steps go to either base; which one is drawn from a generator of
+// its own, so the steps are those of a one-base stream.
 func (w *Workload) GenStream(n int) Stream {
 	rng := rand.New(rand.NewSource(w.Seed ^ 0x517ea11))
 	mrng := mat.NewRNG(uint64(w.Seed) + 0xb10b)
+	brng := rand.New(rand.NewSource(w.Seed ^ 0xba5e))
+	base := func() string { return [2]string{"product", "customer"}[brng.Intn(2)] }
 	scratch := w.G.Clone()
 	var steps Stream
 	for len(steps) < n {
@@ -283,7 +302,7 @@ func (w *Workload) GenStream(n int) Stream {
 			b.Apply(scratch)
 			steps = append(steps, Step{Kind: StepGraph, Batch: b})
 		case 3: // ΔD membership toggles
-			st := Step{Kind: StepRelation}
+			st := Step{Kind: StepRelation, Base: base()}
 			for i := rng.Intn(3); i > 0; i-- {
 				st.Remove = append(st.Remove, rng.Intn(1<<16))
 			}
@@ -304,7 +323,7 @@ func (w *Workload) GenStream(n int) Stream {
 			if len(kws) == 0 {
 				kws = []string{poolKeywords[rng.Intn(len(poolKeywords))]}
 			}
-			steps = append(steps, Step{Kind: StepKeywords, Keywords: kws})
+			steps = append(steps, Step{Kind: StepKeywords, Base: base(), Keywords: kws})
 		}
 	}
 	return steps

@@ -30,7 +30,7 @@ func CheckConcurrent(seed int64, _ Stream) error {
 	if err != nil {
 		return fmt.Errorf("harness: catalog: %w", err)
 	}
-	qg := NewQueryGen(seed^0x9e11, extractedEJoinAttrs(cat.Mat))
+	qg := NewQueryGen(seed^0x9e11, extractedEJoinAttrs(cat.Mat, "product"))
 	queries := make([]string, concurrentPerSession)
 	for i := range queries {
 		queries[i] = qg.Query()

@@ -30,7 +30,7 @@ func CheckExec(seed int64, _ Stream) error {
 	par.Parallelism = 4
 	par.Obs = obs.NewRegistry()
 
-	qg := NewQueryGen(seed^0x9e11, extractedEJoinAttrs(cat.Mat))
+	qg := NewQueryGen(seed^0x9e11, extractedEJoinAttrs(cat.Mat, "product"))
 	for i := 0; i < execQueriesPerSeed; i++ {
 		q := qg.Query()
 		a, err := serial.Query(q)
@@ -66,12 +66,12 @@ func CheckExec(seed int64, _ Stream) error {
 	return nil
 }
 
-// extractedEJoinAttrs returns the reference keywords of the product
-// base that the materialisation actually extracted as columns; e-join
-// query generation is restricted to those (a seed's statistical
-// discovery may select fewer attributes than AR).
-func extractedEJoinAttrs(m *core.Materialized) []string {
-	b := m.Base("product")
+// extractedEJoinAttrs returns the reference keywords of a base that
+// the materialisation actually extracted as columns; e-join query
+// generation is restricted to those (a seed's statistical discovery may
+// select fewer attributes than AR, and a keyword step may drop some).
+func extractedEJoinAttrs(m *core.Materialized, base string) []string {
+	b := m.Base(base)
 	if b == nil {
 		return nil
 	}

@@ -15,7 +15,8 @@ import (
 
 // CheckFreshReads is oracle 7: what a query reads after an update must
 // be derived from the state the update left. The product base is OPENed
-// as a WAL-backed store and the stream applied through it; after every
+// — and with it its domain, the graph and the customer base — as a
+// WAL-backed store and the stream applied through it; after every
 // step a seeded set of well-behaved queries — static e-join,
 // id-recovery e-join, self and cross-base l-joins, with and without
 // pushed-down predicates — runs three ways: as is (whatever the gL
@@ -40,12 +41,11 @@ func CheckFreshReads(seed int64, stream Stream) error {
 		if err := drv.step(i, s); err != nil {
 			return err
 		}
-		queries := linkQueries
-		// E-joins name the attributes this step's h(D,G) still carries: a
-		// keyword step may have dropped some of AR from the scheme.
-		if attrs := extractedEJoinAttrs(cat.Mat); len(attrs) > 0 {
-			queries = append(eJoinQueries(attrs, ePred), queries...)
-		}
+		// E-joins name the attributes this step's h(D,G) of each base still
+		// carries: a keyword step may have dropped some of AR from the
+		// scheme.
+		queries := append(eJoinQueries(extractedEJoinAttrs(cat.Mat, "product"),
+			extractedEJoinAttrs(cat.Mat, "customer"), ePred), linkQueries...)
 		fresh, err := freshCatalog(w, cat)
 		if err != nil {
 			return fmt.Errorf("harness: step %d: materialise from scratch: %w", i, err)
@@ -81,10 +81,9 @@ func CheckFreshReads(seed int64, stream Stream) error {
 }
 
 // openProductStore builds the workload's catalog and OPENs its product
-// base as a WAL-backed store on an in-memory filesystem — and after it
-// those of alsoOpen, which share its working graph as the stores of
-// cmd/gsql -data-dir do.
-func openProductStore(w *Workload, alsoOpen ...string) (*gsql.Catalog, *gsql.Engine, *core.DurableStore, error) {
+// base — which opens the domain it belongs to, the graph and both bases —
+// as a WAL-backed store on an in-memory filesystem.
+func openProductStore(w *Workload) (*gsql.Catalog, *gsql.Engine, *core.DurableStore, error) {
 	cat, err := w.Catalog()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: catalog: %w", err)
@@ -92,10 +91,8 @@ func openProductStore(w *Workload, alsoOpen ...string) (*gsql.Catalog, *gsql.Eng
 	cat.DurableOpts = core.DurableOptions{FS: wal.NewMemFS()}
 	eng := gsql.NewEngine(cat)
 	eng.Obs = obs.NewRegistry()
-	for _, base := range append([]string{"product"}, alsoOpen...) {
-		if _, err := eng.Query(fmt.Sprintf("OPEN %s db-%s", base, base)); err != nil {
-			return nil, nil, nil, fmt.Errorf("harness: OPEN %s: %w", base, err)
-		}
+	if _, err := eng.Query("OPEN product db"); err != nil {
+		return nil, nil, nil, fmt.Errorf("harness: OPEN product: %w", err)
 	}
 	return cat, eng, cat.Durable.Get("product"), nil
 }
@@ -114,15 +111,23 @@ func freshReadQueries(seed int64) (ePred string, linkQueries []string) {
 	}
 }
 
-// eJoinQueries are the mix's enrichment joins over the given extracted
-// attributes: static, static with a pushed predicate, and id recovery.
-func eJoinQueries(attrs []string, ePred string) []string {
-	a := strings.Join(attrs, ", ")
-	return []string{
-		fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T", a, a),
-		fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T where %s", a, a, ePred),
-		fmt.Sprintf("select pid, name, vid, %s from (select name, issuer from product) e-join G <%s> as T", a, a),
+// eJoinQueries are the mix's enrichment joins over the attributes each
+// base has extracted: on product static, static with a pushed predicate,
+// and id recovery; on customer static. A base with none has no e-join.
+func eJoinQueries(product, customer []string, ePred string) []string {
+	var out []string
+	if len(product) > 0 {
+		a := strings.Join(product, ", ")
+		out = append(out,
+			fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T", a, a),
+			fmt.Sprintf("select pid, vid, %s from product e-join G <%s> as T where %s", a, a, ePred),
+			fmt.Sprintf("select pid, name, vid, %s from (select name, issuer from product) e-join G <%s> as T", a, a))
 	}
+	if len(customer) > 0 {
+		a := strings.Join(customer, ", ")
+		out = append(out, fmt.Sprintf("select cid, vid, %s from customer e-join G <%s> as T", a, a))
+	}
+	return out
 }
 
 // freshCatalog materialises both bases from scratch over live's current

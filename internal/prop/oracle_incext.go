@@ -18,7 +18,10 @@ import (
 // extractor's final scheme (ExtractWithScheme) rather than re-running
 // discovery: pattern discovery is statistical and may legitimately
 // pick a different scheme on the updated graph, while extraction under
-// a fixed scheme is the paper's no-accuracy-loss claim for IncExt.
+// a fixed scheme is the paper's no-accuracy-loss claim for IncExt. The
+// oracle holds the product base alone, so every relation and keyword
+// step goes to it whichever base the stream addressed: the stream is the
+// one-base stream GenStream draws before it picks a base per step.
 func CheckIncExt(seed int64, stream Stream) error {
 	return checkIncExt(seed, stream, false)
 }
@@ -45,8 +48,9 @@ func checkIncExt(seed int64, stream Stream, skipDeletes bool) error {
 	}
 	ex.SetSkipDeleteMaintenance(skipDeletes)
 
-	drv := newStreamDriver(&directBase{ex: ex, matcher: w.Matcher}, w)
+	drv := newStreamDriver(&directBases{exs: map[string]*core.Extractor{"product": ex}, matcher: w.Matcher}, w)
 	for i, st := range stream {
+		st.Base = "product"
 		if err := drv.step(i, st); err != nil {
 			return err
 		}
@@ -59,7 +63,7 @@ func checkIncExt(seed int64, stream Stream, skipDeletes bool) error {
 			st.Batch.Apply(gRef)
 		}
 	}
-	cur := subsetRelation(drv.master, drv.present)
+	cur := drv.members["product"].relation()
 
 	ref := core.NewExtractor(gRef, w.Models, cfg)
 	want, err := ref.ExtractWithScheme(cur, ex.Scheme(), w.Matcher.Match(cur, gRef))

@@ -36,7 +36,7 @@ func CheckReference(seed int64, _ Stream) error {
 	par.Parallelism = 4
 	par.Obs = obs.NewRegistry()
 
-	qg := NewQueryGen(seed^0x51ec, extractedEJoinAttrs(cat.Mat))
+	qg := NewQueryGen(seed^0x51ec, extractedEJoinAttrs(cat.Mat, "product"))
 	for i := 0; i < referenceQueriesPerSeed; i++ {
 		q := qg.Query()
 		want, err := difftest.Reference(cat, q)

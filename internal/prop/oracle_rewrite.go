@@ -95,7 +95,7 @@ func CheckRewrite(seed int64, _ Stream) error {
 // e-join against the three-way reduction computed by hand from the
 // materialised f(D,G) and h(D,G).
 func checkEJoinRewrite(w *Workload, cat *gsql.Catalog, eng *gsql.Engine, rng *rand.Rand) error {
-	avail := extractedEJoinAttrs(cat.Mat)
+	avail := extractedEJoinAttrs(cat.Mat, "product")
 	if len(avail) == 0 {
 		return nil // this seed's discovery extracted none of AR; nothing to rewrite
 	}

@@ -39,7 +39,8 @@ func (ss *session) ingest(ctx context.Context, in inbound) Response {
 			fmt.Errorf("server: no durable store %q (OPEN it first)", req.Base))
 	}
 	start := time.Now()
-	if err := applyIngest(ctx, st, req); err != nil {
+	seq, err := applyIngest(ctx, st, req)
+	if err != nil {
 		ss.reg.Counter("server_ingest_errors_total").Inc()
 		return errResp(req.ID, "error", err)
 	}
@@ -48,13 +49,13 @@ func (ss *session) ingest(ctx context.Context, in inbound) Response {
 	ss.reg.Histogram("server_ingest_seconds", nil).Observe(elapsed.Seconds())
 	return Response{
 		ID: req.ID, OK: true,
-		Seq:       st.LastSeq(),
+		Seq:       seq,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}
 }
 
-// durableStore resolves an opened store by base name (nil-safe at
-// every level: engines without a catalog simply have no stores).
+// durableStore resolves the open store whose domain holds base (nil-safe
+// at every level: engines without a catalog simply have no stores).
 func (ss *session) durableStore(base string) *core.DurableStore {
 	if ss.eng == nil || ss.eng.Cat == nil {
 		return nil
@@ -62,32 +63,32 @@ func (ss *session) durableStore(base string) *core.DurableStore {
 	return ss.eng.Cat.Durable.Get(base)
 }
 
-// applyIngest decodes and applies one batch per req.Kind.
-func applyIngest(ctx context.Context, st *core.DurableStore, req Request) error {
+// applyIngest decodes and applies one batch per req.Kind: a graph batch
+// to the domain's graph, a relation or keyword update to req.Base. It
+// returns the WAL seq the store logged this batch at.
+func applyIngest(ctx context.Context, st *core.DurableStore, req Request) (uint64, error) {
+	var stats core.IncStats
+	var err error
 	switch req.Kind {
 	case "graph":
-		batch, err := decodeIngestBatch(req.Updates)
-		if err != nil {
-			return err
+		var batch graph.Batch
+		if batch, err = decodeIngestBatch(req.Updates); err == nil {
+			stats, err = st.ApplyGraphUpdateContext(ctx, batch)
 		}
-		_, err = st.ApplyGraphUpdateContext(ctx, batch)
-		return err
 	case "relation":
-		d, err := relationFromRows(st.Base().Spec.D.Schema, req.Rows)
-		if err != nil {
-			return err
+		var d *rel.Relation
+		if d, err = relationFromRows(st.Version().Base(req.Base).Spec.D.Schema, req.Rows); err == nil {
+			stats, err = st.ApplyRelationUpdateContext(ctx, req.Base, d)
 		}
-		_, err = st.ApplyRelationUpdateContext(ctx, d)
-		return err
 	case "keywords":
 		if len(req.Keywords) == 0 {
-			return fmt.Errorf("server: ingest kind %q needs keywords", req.Kind)
+			return 0, fmt.Errorf("server: ingest kind %q needs keywords", req.Kind)
 		}
-		_, err := st.UpdateKeywordsContext(ctx, req.Keywords)
-		return err
+		stats, err = st.UpdateKeywordsContext(ctx, req.Base, req.Keywords)
 	default:
-		return fmt.Errorf("server: unknown ingest kind %q (want graph, relation or keywords)", req.Kind)
+		return 0, fmt.Errorf("server: unknown ingest kind %q (want graph, relation or keywords)", req.Kind)
 	}
+	return stats.Seq, err
 }
 
 // decodeIngestBatch maps wire updates onto a graph.Batch.

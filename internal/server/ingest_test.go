@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +89,52 @@ func TestIngestRelationAndKeywords(t *testing.T) {
 	kw := c.roundTrip(Request{Op: OpIngest, Base: "product", Kind: "keywords", Keywords: []string{"company"}})
 	if !kw.OK || kw.Seq <= resp.Seq {
 		t.Fatalf("keyword ingest: ok=%v seq=%d (after %d): %s", kw.OK, kw.Seq, resp.Seq, kw.Error)
+	}
+}
+
+// TestIngestAcksItsOwnSeq: sessions ingesting concurrently into one
+// domain, addressed through either base, are each acked with the WAL seq
+// their own batch was logged at — not the seq of whichever batch another
+// writer appended in between — so the acks are exactly 1..K·n, each once.
+func TestIngestAcksItsOwnSeq(t *testing.T) {
+	srv, first := newIngestServer(t, wal.NewMemFS())
+	const sessions, n = 4, 5
+	clients := []*client{first}
+	for len(clients) < sessions {
+		clients = append(clients, dialPipe(t, srv))
+	}
+	acks := make([][]uint64, sessions)
+	errs := make(chan string, sessions*n)
+	var wg sync.WaitGroup
+	for k, c := range clients {
+		wg.Add(1)
+		go func(k int, c *client) {
+			defer wg.Done()
+			base := [2]string{"product", "customer"}[k%2]
+			for i := 0; i < n; i++ {
+				resp := c.roundTrip(Request{Op: OpIngest, Base: base, Kind: "graph",
+					Updates: []IngestUpdate{{Op: "insert_vertex", Label: fmt.Sprintf("co %d-%d", k, i), Type: "company"}}})
+				if !resp.OK {
+					errs <- resp.Error
+					return
+				}
+				acks[k] = append(acks[k], resp.Seq)
+			}
+		}(k, c)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatalf("ingest: %s", e)
+	}
+	seen := map[uint64]bool{}
+	for _, a := range acks {
+		for _, seq := range a {
+			if seen[seq] || seq < 1 || seq > sessions*n {
+				t.Fatalf("acked seqs %v: not each of 1..%d once", acks, sessions*n)
+			}
+			seen[seq] = true
+		}
 	}
 }
 
