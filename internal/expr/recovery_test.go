@@ -9,7 +9,10 @@ func TestRecoveryAllCollections(t *testing.T) {
 	for _, name := range []string{"Drugs", "FakeNews", "Movie", "MovKB", "Paper", "Celebrity"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := mustPrepare(Prepare(name, 40, 7))
+			// Each collection trains its own models on one goroutine;
+			// collections share nothing, so they train side by side.
+			t.Parallel()
+			r := sharedRun(name, 40, 7)
 			res := Recovery(r, RecoveryOptions{H: 30})
 			t.Logf("%s: mean %v (%.2fs)", name, res.Mean, res.Seconds)
 			for attr, p := range res.PerAttr {
@@ -26,7 +29,7 @@ func TestRecoveryRndPathWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
 	}
-	r := mustPrepare(Prepare("Paper", 40, 7))
+	r := sharedRun("Paper", 40, 7)
 	guided := Recovery(r, RecoveryOptions{H: 30})
 	random := Recovery(r, RecoveryOptions{H: 30, Variant: VRndPath})
 	t.Logf("guided %v vs random %v", guided.Mean, random.Mean)

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"semjoin/internal/gsql"
@@ -56,33 +57,36 @@ func TestWorkloadComposition(t *testing.T) {
 
 func TestWorkloadParsesAndAnalyzes(t *testing.T) {
 	// Parse every query; the planner's well-behaved verdict must match
-	// the tag (verdicts need a catalog, so use a minimal env per
-	// collection at tiny scale without model training: WellBehaved only
-	// inspects the catalog shape, not data).
+	// the tag. Verdicts need a catalog, so each collection gets a full
+	// env at tiny scale (its models are trained: NewQueryEnv
+	// materialises and profiles with them), shared with the other
+	// workload tests; WellBehaved itself only inspects the catalog's
+	// shape, not data.
 	if testing.Short() {
 		t.Skip("builds envs")
 	}
-	envs := map[string]*QueryEnv{}
+	var colls []string
 	for _, q := range Workload() {
-		if _, err := gsql.Parse(q.SQL); err != nil {
-			t.Errorf("%s does not parse: %v", q.ID, err)
-			continue
+		if !slices.Contains(colls, q.Collection) {
+			colls = append(colls, q.Collection)
 		}
-		env, ok := envs[q.Collection]
-		if !ok {
-			r := mustPrepare(Prepare(q.Collection, 24, 7))
-			var err error
-			env, err = NewQueryEnv(r)
-			if err != nil {
-				t.Fatalf("%s env: %v", q.Collection, err)
+	}
+	for _, coll := range colls {
+		coll := coll
+		t.Run(coll, func(t *testing.T) {
+			t.Parallel() // collections build their envs side by side
+			for _, q := range byColl(Workload(), coll) {
+				parsed, err := gsql.Parse(q.SQL)
+				if err != nil {
+					t.Errorf("%s does not parse: %v", q.ID, err)
+					continue
+				}
+				got := sharedEnv(t, coll, 24, 7).Engine(gsql.ModeAuto).WellBehaved(parsed)
+				if got != q.WellBehaved {
+					t.Errorf("%s: WellBehaved = %v, tagged %v", q.ID, got, q.WellBehaved)
+				}
 			}
-			envs[q.Collection] = env
-		}
-		parsed, _ := gsql.Parse(q.SQL)
-		got := env.Engine(gsql.ModeAuto).WellBehaved(parsed)
-		if got != q.WellBehaved {
-			t.Errorf("%s: WellBehaved = %v, tagged %v", q.ID, got, q.WellBehaved)
-		}
+		})
 	}
 }
 
@@ -91,11 +95,7 @@ func TestWorkloadExecutesInAllModes(t *testing.T) {
 		t.Skip("slow")
 	}
 	for _, coll := range []string{"Drugs", "Paper"} {
-		r := mustPrepare(Prepare(coll, 24, 7))
-		env, err := NewQueryEnv(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := sharedEnv(t, coll, 24, 7)
 		for _, q := range byColl(Workload(), coll) {
 			for _, mode := range []gsql.Mode{gsql.ModeAuto, gsql.ModeBaseline} {
 				out, err := env.Engine(mode).Query(q.SQL)
@@ -113,11 +113,7 @@ func TestWorkloadExactVsHeuristicAgreeSomewhat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r := mustPrepare(Prepare("Movie", 24, 7))
-	env, err := NewQueryEnv(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := sharedEnv(t, "Movie", 24, 7)
 	for _, q := range byColl(Workload(), "Movie") {
 		if q.Link {
 			continue // heuristic mode applies to enrichment joins

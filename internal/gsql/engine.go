@@ -117,8 +117,10 @@ type Engine struct {
 	// operator row counts, gL cache traffic, ...). Nil means the
 	// process-wide obs.Default registry — the one -debug-addr serves.
 	Obs *obs.Registry
-	// Queries is the recent/slow query log; nil means obs.DefaultQueries.
-	// The slow threshold is settable per session with SET SLOW_QUERY_MS n.
+	// Queries receives the traces of the queries this engine owns —
+	// those run without a caller's trace in the context; nil means
+	// obs.DefaultQueries. A served query's trace belongs to the server,
+	// which files it in its own log.
 	Queries *obs.QueryLog
 	// LastTrace is the root span of the last executed query: parse,
 	// plan and execute children with wall times. EXPLAIN ANALYZE renders
@@ -141,9 +143,13 @@ type Engine struct {
 	LastTraceID string
 	// LastVersionSeq is the WAL sequence number of the store version the
 	// last executed query read (core.View.Seq): its result is the result
-	// on exactly the updates logged up to it. With several stores open it
-	// is their versions' numbers summed. 0 when no store is open.
+	// on exactly the updates logged up to it. 0 when no store is open.
 	LastVersionSeq uint64
+
+	// slowQuery is the session's SET SLOW_QUERY_MS threshold: a query
+	// whose "query" span lasts at least this long is marked slow on its
+	// trace. 0 disables the mark.
+	slowQuery time.Duration
 
 	// view is the state the statement in flight reads: run sets it,
 	// QueryContext drops it.
@@ -175,12 +181,15 @@ func (e *Engine) reg() *obs.Registry {
 	return obs.Default
 }
 
-// qlog resolves the engine's query log (obs.DefaultQueries unless set).
-func (e *Engine) qlog() *obs.QueryLog {
-	if e.Queries != nil {
-		return e.Queries
+// endQuery ends a query whose trace the engine owns, filing it in the
+// engine's trace store and query log (the process-wide ones unless
+// set).
+func (e *Engine) endQuery(tr *obs.Trace, status string) {
+	queries := e.Queries
+	if queries == nil {
+		queries = obs.DefaultQueries
 	}
-	return obs.DefaultQueries
+	obs.EndQuery(tr, status, e.tracer(), e.traces(), queries)
 }
 
 // tracer resolves the engine's tracer (obs.DefaultTracer unless set).
@@ -272,15 +281,16 @@ func (e *Engine) pin() {
 }
 
 // run parses, plans and executes one query under a root trace span,
-// recording latency metrics and a query-log entry for every outcome
-// (parse and plan errors included). The span tree is kept on LastTrace.
+// recording latency metrics for every outcome (parse and plan errors
+// included) and marking the trace slow by the session's threshold.
+// The span tree is kept on LastTrace.
 //
 // Tracing ownership: when the caller already put a trace in ctx (the
 // network server does, so the wire-read and admission spans precede
-// the engine's), run attaches the "query" span to it and leaves
-// Finish/Keep to the owner. Otherwise run owns the trace end to end:
-// it creates one, finishes it with the outcome status, and retains it
-// in the trace store when the tracer's sampling says so.
+// the engine's), run attaches the "query" span to it and leaves ending
+// it to the owner. Otherwise run owns the trace end to end: it creates
+// one and ends it with the outcome (obs.EndQuery), which is the
+// query's one record.
 func (e *Engine) run(ctx context.Context, input string) (*rel.Relation, *Query, error) {
 	// The one place a query meets the durable store: one load of its
 	// version, and the plan and the drain below read that version
@@ -315,33 +325,27 @@ func (e *Engine) run(ctx context.Context, input string) (*rel.Relation, *Query, 
 		status = "error"
 	}
 	reg.Histogram("gsql_query_seconds", nil).Observe(root.Duration.Seconds())
-	rec := obs.QueryRecord{
-		Query: strings.TrimSpace(input), Start: root.Start,
-		Duration: root.Duration, Status: status, TraceID: tr.ID(),
-	}
+	rows := 0
 	if out != nil {
-		rec.Rows = out.Len()
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	slow := e.qlog().Record(rec)
-	if slow {
-		reg.Counter("gsql_slow_queries_total").Inc()
+		rows = out.Len()
 	}
 	tr.SetOperators(statsOps(e.LastStats))
-	if owned {
-		tr.Finish(status)
-		if e.tracer().Keep(tr) {
-			e.traces().Add(tr)
-		}
+	slow := e.slowQuery > 0 && root.Duration >= e.slowQuery
+	if slow {
+		tr.MarkSlow()
+		reg.Counter("gsql_slow_queries_total").Inc()
 	}
+	if owned {
+		tr.SetResult(rows, err)
+		e.endQuery(tr, status)
+	}
+	query := strings.TrimSpace(input)
 	if err != nil {
-		e.Log.Warn("query failed", "err", err.Error(), "trace_id", tr.ID(), "query", rec.Query)
+		e.Log.Warn("query failed", "err", err.Error(), "trace_id", tr.ID(), "query", query)
 	} else if slow {
 		e.Log.Info("slow query",
 			"duration_ms", float64(root.Duration)/float64(time.Millisecond),
-			"trace_id", tr.ID(), "rows", rec.Rows, "query", rec.Query)
+			"trace_id", tr.ID(), "rows", rows, "query", query)
 	}
 	return out, q, err
 }

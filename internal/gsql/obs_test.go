@@ -139,12 +139,18 @@ func TestSetSlowQueryMSStatement(t *testing.T) {
 		t.Fatal("threshold 0 must disable slow classification")
 	}
 	// A 1ns threshold makes every query slow.
-	log.SetSlowThreshold(time.Nanosecond)
-	if _, err := e.Query(`select pid from product`); err != nil {
+	e.slowQuery = time.Nanosecond
+	res, err := e.Query(`select pid from product`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(log.Slow()) != 1 {
 		t.Fatalf("slow queries = %d, want 1", len(log.Slow()))
+	}
+	if s := log.Slow()[0]; s.ID() != e.LastTraceID {
+		t.Fatalf("slow record = trace %s, want %s", s.ID(), e.LastTraceID)
+	} else if rows, _ := s.Result(); rows != res.Len() {
+		t.Fatalf("slow record rows = %d, want %d", rows, res.Len())
 	}
 	if reg.CounterValues()["gsql_slow_queries_total"] != 1 {
 		t.Fatal("gsql_slow_queries_total not incremented")

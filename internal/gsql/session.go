@@ -40,9 +40,10 @@ func (e *Engine) setParallelism(args []string) (*rel.Relation, error) {
 	return out, nil
 }
 
-// setSlowQueryMS handles SET SLOW_QUERY_MS n: queries slower than n
-// milliseconds land in the slow-query ring (/queries and /metrics
-// surface them); n = 0 disables the classification.
+// setSlowQueryMS handles SET SLOW_QUERY_MS n: this session's queries
+// slower than n milliseconds are marked slow on their traces, so they
+// land in the slow-query ring (/queries and /metrics surface them);
+// n = 0 disables the mark.
 func (e *Engine) setSlowQueryMS(args []string) (*rel.Relation, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("gsql: usage: SET SLOW_QUERY_MS n (0 = disabled)")
@@ -51,7 +52,7 @@ func (e *Engine) setSlowQueryMS(args []string) (*rel.Relation, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("gsql: SET SLOW_QUERY_MS: want a non-negative integer, got %q", args[0])
 	}
-	e.qlog().SetSlowThreshold(time.Duration(n) * time.Millisecond)
+	e.slowQuery = time.Duration(n) * time.Millisecond
 	out := rel.NewRelation(rel.NewSchema("status", "",
 		rel.Attribute{Name: "slow_query_ms", Type: rel.KindInt},
 	))
@@ -84,9 +85,9 @@ func (e *Engine) showMetrics(extra []string) (*rel.Relation, error) {
 
 // showSession handles SHOW SESSION: the per-session settings as a
 // sorted (setting, value) relation — the effective degree of
-// parallelism and the slow-query threshold of this session's query
-// log — followed by version_seq, the store version this session's last
-// query read (LastVersionSeq; a fact about the session, not a knob).
+// parallelism and this session's slow-query threshold — followed by
+// version_seq, the store version this session's last query read
+// (LastVersionSeq; a fact about the session, not a knob).
 // Sessions sharing one catalog diverge only in the knobs, so the
 // session-isolation property tests observe leakage (or its absence)
 // through this statement alone.
@@ -99,7 +100,7 @@ func (e *Engine) showSession(extra []string) (*rel.Relation, error) {
 		rel.Attribute{Name: "value", Type: rel.KindString},
 	))
 	out.InsertVals(rel.S("parallelism"), rel.S(strconv.Itoa(e.Par())))
-	out.InsertVals(rel.S("slow_query_ms"), rel.S(strconv.FormatInt(e.qlog().SlowThreshold().Milliseconds(), 10)))
+	out.InsertVals(rel.S("slow_query_ms"), rel.S(strconv.FormatInt(e.slowQuery.Milliseconds(), 10)))
 	out.InsertVals(rel.S("version_seq"), rel.S(strconv.FormatUint(e.LastVersionSeq, 10)))
 	return out, nil
 }
@@ -149,14 +150,14 @@ func (e *Engine) traceQuery(ctx context.Context, rest string) (*rel.Relation, er
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
 	tr.SetForced()
-	_, _, err := e.run(ctx, rest)
+	res, _, err := e.run(ctx, rest)
 	if owned {
-		status := "ok"
-		if err != nil {
-			status = "error"
+		status, rows := "error", 0
+		if err == nil {
+			status, rows = "ok", res.Len()
 		}
-		tr.Finish(status)
-		e.traces().Add(tr)
+		tr.SetResult(rows, err)
+		e.endQuery(tr, status)
 	}
 	if err != nil {
 		return nil, err

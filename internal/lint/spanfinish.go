@@ -19,8 +19,9 @@ import (
 // Two extra release channels reflect the runtime:
 //
 //   - provenance: a span obtained from tr.StartSpan is also released by
-//     tr.Finish(...) on the same trace expression — Trace.Finish ends
-//     the root span it handed out.
+//     tr.Finish(...) or obs.EndQuery(tr, ...) on the same trace
+//     expression — Trace.Finish, which EndQuery calls, ends the root
+//     span it handed out.
 //   - reassignment of the tracked variable is neutral, so the
 //     nil-guarded fallback `if root == nil { root = obs.StartSpan(..) }`
 //     keeps one obligation, discharged by the shared End.
@@ -174,10 +175,10 @@ func spanReleased(p *Pass, ob spanObligation) func(ast.Node) bool {
 						}
 						return false
 					}
-					if ob.provKey != "" && sel.Sel.Name == "Finish" && exprString(sel.X) == ob.provKey {
-						released = true
-						return false
-					}
+				}
+				if ob.provKey != "" && finishedTrace(p, n) == ob.provKey {
+					released = true
+					return false
 				}
 				for _, a := range n.Args {
 					if usesObj(a) {
@@ -220,19 +221,34 @@ func spanReleased(p *Pass, ob spanObligation) func(ast.Node) bool {
 	}
 }
 
+// finishedTrace returns the spelling of the trace call finishes —
+// tr.Finish(...) or obs.EndQuery(tr, ...) — or "" when it finishes
+// none.
+func finishedTrace(p *Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if pkg, fn := stdFuncCall(p, sel); pkg == obsPkg && fn == "EndQuery" && len(call.Args) > 0 {
+		return exprString(call.Args[0])
+	}
+	if sel.Sel.Name == "Finish" && isNamedType(p.TypeOf(sel.X), obsPkg, "Trace") {
+		return exprString(sel.X)
+	}
+	return ""
+}
+
 // checkDroppedSpans flags creations whose result is discarded: a bare
 // `x.StartChild(...)` statement creates a child that nothing can ever
 // end. A dropped `tr.StartSpan(...)` is tolerated when the same
-// function finishes tr — Trace.Finish ends the root span it handed
-// out — and flagged otherwise.
+// function finishes tr — Trace.Finish (or obs.EndQuery) ends the root
+// span it handed out — and flagged otherwise.
 func checkDroppedSpans(p *Pass, body *ast.BlockStmt) {
 	finished := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Finish" {
-				if isNamedType(p.TypeOf(sel.X), obsPkg, "Trace") {
-					finished[exprString(sel.X)] = true
-				}
+			if key := finishedTrace(p, call); key != "" {
+				finished[key] = true
 			}
 		}
 		return true

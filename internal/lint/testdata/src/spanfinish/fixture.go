@@ -79,6 +79,30 @@ func provenanceFinish(tr *obs.Tracer) {
 	t.Finish("ok")
 }
 
+// obs.EndQuery finishes the trace it is given, so it discharges the
+// root span by provenance as Trace.Finish does — also for a root span
+// whose result was dropped.
+func provenanceEndQuery(tr *obs.Tracer) {
+	t := tr.Start("query", 3)
+	root := t.StartSpan("request")
+	root.StartChild("admission").End()
+	obs.EndQuery(t, "ok", tr, nil, nil)
+}
+
+func droppedRootEndQuery(tr *obs.Tracer, t *obs.Trace) {
+	t.StartSpan("request")
+	obs.EndQuery(t, "ok", tr, nil, nil)
+}
+
+// Ending some other trace leaves this trace's root span open.
+func endQueryOtherTrace(tr *obs.Tracer, other *obs.Trace, sink func(*obs.Trace)) {
+	t := tr.Start("query", 4)
+	root := t.StartSpan("request") // want "span/trace is not ended on every path"
+	root.StartChild("admission").End()
+	obs.EndQuery(other, "ok", tr, nil, nil)
+	sink(t)
+}
+
 // The nil-guarded fallback reassigns the same variable; both creations
 // share the one End.
 func nilGuardFallback(t *obs.Trace) {

@@ -13,10 +13,9 @@ import (
 
 // queriesPayload is the JSON shape of the /queries endpoint.
 type queriesPayload struct {
-	SlowQueryMS int64          `json:"slow_query_ms"`
-	Recent      []queryJSON    `json:"recent"`
-	Slow        []queryJSON    `json:"slow"`
-	Counts      map[string]int `json:"counts"`
+	Recent []queryJSON    `json:"recent"`
+	Slow   []queryJSON    `json:"slow"`
+	Counts map[string]int `json:"counts"`
 }
 
 type queryJSON struct {
@@ -29,14 +28,15 @@ type queryJSON struct {
 	Err        string    `json:"err,omitempty"`
 }
 
-func toJSON(recs []QueryRecord) []queryJSON {
-	out := make([]queryJSON, len(recs))
-	for i, r := range recs {
+func toJSON(traces []*Trace) []queryJSON {
+	out := make([]queryJSON, len(traces))
+	for i, t := range traces {
+		rows, errText := t.Result()
 		out[i] = queryJSON{
-			Query: r.Query, Start: r.Start,
-			DurationMS: float64(r.Duration) / float64(time.Millisecond),
-			Rows:       r.Rows, Status: r.EffectiveStatus(),
-			TraceID: r.TraceID, Err: r.Err,
+			Query: t.Op(), Start: t.Start(),
+			DurationMS: float64(t.Duration()) / float64(time.Millisecond),
+			Rows:       rows, Status: t.Status(),
+			TraceID: t.ID(), Err: errText,
 		}
 	}
 	return out
@@ -60,14 +60,13 @@ func Handler(r *Registry, l *QueryLog, ts *TraceStore) http.Handler {
 	mux.HandleFunc("/queries", func(w http.ResponseWriter, _ *http.Request) {
 		recent, slow := l.Recent(), l.Slow()
 		counts := map[string]int{"recent": len(recent), "slow": len(slow)}
-		for _, rec := range recent {
-			counts[rec.EffectiveStatus()]++
+		for _, t := range recent {
+			counts[t.Status()]++
 		}
 		payload := queriesPayload{
-			SlowQueryMS: l.SlowThreshold().Milliseconds(),
-			Recent:      toJSON(recent),
-			Slow:        toJSON(slow),
-			Counts:      counts,
+			Recent: toJSON(recent),
+			Slow:   toJSON(slow),
+			Counts: counts,
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(payload)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -50,9 +51,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestQueriesEndpoint(t *testing.T) {
 	l := NewQueryLog()
-	l.SetSlowThreshold(5 * time.Millisecond)
-	l.Record(QueryRecord{Query: "select 1", Duration: time.Millisecond, Rows: 1})
-	l.Record(QueryRecord{Query: "select slow", Duration: 50 * time.Millisecond, Rows: 9})
+	l.Record(queryTrace("select 1", "ok", time.Millisecond, 1, nil, false))
+	l.Record(queryTrace("select slow", "ok", 50*time.Millisecond, 9, nil, true))
 	srv := httptest.NewServer(Handler(NewRegistry(), l, NewTraceStore(8)))
 	defer srv.Close()
 
@@ -61,25 +61,26 @@ func TestQueriesEndpoint(t *testing.T) {
 		t.Fatalf("status = %d", code)
 	}
 	var payload struct {
-		SlowQueryMS int64 `json:"slow_query_ms"`
-		Recent      []struct {
+		Recent []struct {
 			Query string `json:"query"`
 		} `json:"recent"`
 		Slow []struct {
 			Query      string  `json:"query"`
 			DurationMS float64 `json:"duration_ms"`
+			Rows       int     `json:"rows"`
 		} `json:"slow"`
 	}
 	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	if payload.SlowQueryMS != 5 {
-		t.Fatalf("slow_query_ms = %d", payload.SlowQueryMS)
+	// There is no log-wide threshold: each session marks its own.
+	if strings.Contains(body, "slow_query_ms") {
+		t.Fatalf("/queries still reports a slow_query_ms:\n%s", body)
 	}
 	if len(payload.Recent) != 2 || len(payload.Slow) != 1 {
 		t.Fatalf("recent=%d slow=%d", len(payload.Recent), len(payload.Slow))
 	}
-	if payload.Slow[0].Query != "select slow" || payload.Slow[0].DurationMS != 50 {
+	if payload.Slow[0].Query != "select slow" || payload.Slow[0].DurationMS != 50 || payload.Slow[0].Rows != 9 {
 		t.Fatalf("slow entry = %+v", payload.Slow[0])
 	}
 }
@@ -203,9 +204,18 @@ func TestTraceDetailEndpointFormats(t *testing.T) {
 
 func TestQueriesEndpointStatusCounts(t *testing.T) {
 	l := NewQueryLog()
-	l.Record(QueryRecord{Query: "ok q", Duration: time.Millisecond, Rows: 1, TraceID: "id-1"})
-	l.Record(QueryRecord{Query: "bad q", Err: "boom"})
-	l.Record(QueryRecord{Query: "busy q", Status: "shed", TraceID: "id-3"})
+	for _, q := range []struct {
+		op, status, id string
+		err            error
+	}{
+		{"ok q", "ok", "id-1", nil},
+		{"bad q", "error", "id-2", errors.New("boom")},
+		{"busy q", "shed", "id-3", errors.New("server busy")},
+	} {
+		tr := queryTrace(q.op, q.status, time.Millisecond, 0, q.err, false)
+		tr.SetID(q.id)
+		l.Record(tr)
+	}
 	srv := httptest.NewServer(Handler(NewRegistry(), l, nil))
 	defer srv.Close()
 
@@ -218,6 +228,7 @@ func TestQueriesEndpointStatusCounts(t *testing.T) {
 			Query   string `json:"query"`
 			Status  string `json:"status"`
 			TraceID string `json:"trace_id"`
+			Err     string `json:"err"`
 		} `json:"recent"`
 		Counts map[string]int `json:"counts"`
 	}
@@ -232,6 +243,9 @@ func TestQueriesEndpointStatusCounts(t *testing.T) {
 	}
 	if payload.Counts["ok"] != 1 || payload.Counts["error"] != 1 || payload.Counts["shed"] != 1 {
 		t.Fatalf("counts = %v", payload.Counts)
+	}
+	if payload.Recent[1].Err != "boom" {
+		t.Fatalf("failed record must carry its error text: %+v", payload.Recent[1])
 	}
 	if payload.Recent[2].TraceID != "id-3" {
 		t.Fatalf("shed record must carry its trace id: %+v", payload.Recent[2])

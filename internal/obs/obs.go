@@ -1,7 +1,7 @@
 // Package obs is the engine-wide observability substrate: atomic
 // counters and gauges, lock-striped histograms with quantile
-// estimation, per-query trace spans and a slow-query ring buffer —
-// all on the standard library alone, so every layer of the engine can
+// estimation, and per-query traces filed in recent and slow-query
+// ring buffers — all on the standard library alone, so every layer of the engine can
 // depend on it without pulling in anything.
 //
 // Recording is designed to be skippable: every method is safe on a

@@ -44,7 +44,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry should render empty")
 	}
 	var l *QueryLog
-	if l.Record(QueryRecord{}) || l.Recent() != nil || l.Slow() != nil {
+	l.Record(queryTrace("q", "ok", time.Millisecond, 0, nil, true))
+	if l.Recent() != nil || l.Slow() != nil {
 		t.Fatal("nil query log should no-op")
 	}
 	var s *Span
@@ -179,18 +180,31 @@ func TestSpanTree(t *testing.T) {
 	}
 }
 
+// queryTrace builds a finished query trace as EndQuery would file it,
+// with its duration pinned to d.
+func queryTrace(op, status string, d time.Duration, rows int, err error, slow bool) *Trace {
+	tr := DefaultTracer.Start(op, 0)
+	tr.SetResult(rows, err)
+	if slow {
+		tr.MarkSlow()
+	}
+	tr.duration = d // Finish keeps a duration already set
+	tr.Finish(status)
+	return tr
+}
+
 func TestQueryLogRings(t *testing.T) {
 	l := NewQueryLog()
-	if l.Record(QueryRecord{Query: "q", Duration: time.Hour}) {
-		t.Fatal("zero threshold should never classify slow")
+	l.Record(queryTrace("q", "ok", time.Hour, 0, nil, false))
+	if len(l.Slow()) != 0 {
+		t.Fatal("a trace not marked slow must never classify slow")
 	}
-	l.SetSlowThreshold(10 * time.Millisecond)
 	for i := 0; i < recentRingCap+10; i++ {
 		dur := time.Millisecond
 		if i%2 == 0 {
 			dur = 20 * time.Millisecond
 		}
-		l.Record(QueryRecord{Query: "q", Duration: dur})
+		l.Record(queryTrace("q", "ok", dur, 0, nil, dur >= 10*time.Millisecond))
 	}
 	if got := len(l.Recent()); got != recentRingCap {
 		t.Fatalf("recent len = %d, want %d", got, recentRingCap)
@@ -198,9 +212,34 @@ func TestQueryLogRings(t *testing.T) {
 	if got := len(l.Slow()); got != slowRingCap {
 		t.Fatalf("slow len = %d, want %d", got, slowRingCap)
 	}
-	for _, rec := range l.Slow() {
-		if rec.Duration < 10*time.Millisecond {
-			t.Fatalf("fast query in slow ring: %v", rec.Duration)
+	for _, tr := range l.Slow() {
+		if tr.Duration() < 10*time.Millisecond {
+			t.Fatalf("fast query in slow ring: %v", tr.Duration())
+		}
+	}
+}
+
+// TestEndQueryFilesOnce: EndQuery finishes the trace, keeps it in the
+// store when the tracer samples it, and files it in the log exactly
+// once either way.
+func TestEndQueryFilesOnce(t *testing.T) {
+	for _, rate := range []float64{0, 1} {
+		tr, ts, l := NewTracer(rate, 0), NewTraceStore(8), NewQueryLog()
+		q := tr.Start("select 1", 0)
+		q.SetResult(3, nil)
+		EndQuery(q, "ok", tr, ts, l)
+		if q.Status() != "ok" || q.Duration() == 0 {
+			t.Fatalf("rate %v: trace not finished: status %q", rate, q.Status())
+		}
+		if got := ts.Len(); got != int(rate) {
+			t.Fatalf("rate %v: store holds %d traces", rate, got)
+		}
+		recent := l.Recent()
+		if len(recent) != 1 || recent[0] != q {
+			t.Fatalf("rate %v: log = %v", rate, recent)
+		}
+		if rows, _ := recent[0].Result(); rows != 3 {
+			t.Fatalf("rate %v: filed rows = %d, want 3", rate, rows)
 		}
 	}
 }

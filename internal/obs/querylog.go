@@ -1,130 +1,59 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// QueryRecord is one executed query as the slow-query log sees it.
-type QueryRecord struct {
-	Query    string        `json:"query"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"duration_ns"`
-	Rows     int           `json:"rows"`
-	Err      string        `json:"err,omitempty"`
-	// Status is the query outcome: "ok", "error" or "shed" (rejected
-	// by admission control — such queries never reached the engine but
-	// still belong in the log so /queries reconciles with
-	// server_shed_total). Empty in records from writers predating the
-	// field; readers treat that as "ok" unless Err is set.
-	Status string `json:"status,omitempty"`
-	// TraceID links the record to its retained trace, when one was
-	// kept.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// EffectiveStatus normalizes Status for old writers: an explicit
-// status wins, otherwise Err implies "error" and anything else "ok".
-func (r QueryRecord) EffectiveStatus() string {
-	if r.Status != "" {
-		return r.Status
-	}
-	if r.Err != "" {
-		return "error"
-	}
-	return "ok"
-}
+import "sync"
 
 const (
 	recentRingCap = 128
 	slowRingCap   = 64
 )
 
-// QueryLog is a pair of fixed-size ring buffers over executed
-// queries: every query lands in the recent ring, and queries at or
-// above the slow threshold also land in the slow ring. A zero
-// threshold disables slow classification. Safe for concurrent use;
-// all methods no-op on a nil receiver.
+// QueryLog is a pair of fixed-size rings over finished query traces:
+// every query lands in the recent ring, and a trace marked slow (by
+// its session's SET SLOW_QUERY_MS) also lands in the slow ring. The
+// trace is the query's only record: /queries reads op, start,
+// duration, rows, status, id and error text off it. Safe for
+// concurrent use; all methods no-op on a nil receiver.
 type QueryLog struct {
 	mu     sync.Mutex
 	recent ring
 	slow   ring
-	slowNS atomic.Int64 // threshold in nanoseconds, 0 = disabled
 }
 
-// ring is a fixed-capacity append-only ring of query records.
-type ring struct {
-	buf  []QueryRecord
-	next int
-	full bool
-}
-
-func (r *ring) push(cap int, rec QueryRecord) {
-	if r.buf == nil {
-		r.buf = make([]QueryRecord, cap)
-	}
-	r.buf[r.next] = rec
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
-	}
-}
-
-// list returns the records oldest-first.
-func (r *ring) list() []QueryRecord {
-	if r.buf == nil {
-		return nil
-	}
-	var out []QueryRecord
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	return append(out, r.buf[:r.next]...)
-}
-
-// NewQueryLog returns an empty log with slow classification disabled.
+// NewQueryLog returns an empty log.
 func NewQueryLog() *QueryLog { return &QueryLog{} }
 
 // DefaultQueries is the process-wide query log, the one the debug
-// endpoint serves unless a session installs its own.
+// endpoint serves unless a server installs its own.
 var DefaultQueries = NewQueryLog()
 
-// SetSlowThreshold sets the duration at or above which a query counts
-// as slow; 0 disables the slow ring.
-func (l *QueryLog) SetSlowThreshold(d time.Duration) {
-	if l != nil {
-		l.slowNS.Store(int64(d))
+// EndQuery ends one query: it finishes t with status, retains it in ts
+// when tr keeps it, and files it in l. Whoever owns a query's trace —
+// the engine when it started the trace, the server otherwise — calls
+// it exactly once, so every query has one record.
+func EndQuery(t *Trace, status string, tr *Tracer, ts *TraceStore, l *QueryLog) {
+	t.Finish(status)
+	if tr.Keep(t) {
+		ts.Add(t)
 	}
+	l.Record(t)
 }
 
-// SlowThreshold returns the current slow threshold (0 = disabled).
-func (l *QueryLog) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
+// Record files one finished trace. Callers go through EndQuery.
+func (l *QueryLog) Record(t *Trace) {
+	if l == nil || t == nil {
+		return
 	}
-	return time.Duration(l.slowNS.Load())
-}
-
-// Record logs one executed query and reports whether it classified as
-// slow.
-func (l *QueryLog) Record(rec QueryRecord) (slow bool) {
-	if l == nil {
-		return false
-	}
-	thr := l.SlowThreshold()
-	slow = thr > 0 && rec.Duration >= thr
+	slow := t.Slow()
 	l.mu.Lock()
-	l.recent.push(recentRingCap, rec)
+	l.recent.push(recentRingCap, t)
 	if slow {
-		l.slow.push(slowRingCap, rec)
+		l.slow.push(slowRingCap, t)
 	}
 	l.mu.Unlock()
-	return slow
 }
 
 // Recent returns the retained recent queries, oldest first.
-func (l *QueryLog) Recent() []QueryRecord {
+func (l *QueryLog) Recent() []*Trace {
 	if l == nil {
 		return nil
 	}
@@ -134,7 +63,7 @@ func (l *QueryLog) Recent() []QueryRecord {
 }
 
 // Slow returns the retained slow queries, oldest first.
-func (l *QueryLog) Slow() []QueryRecord {
+func (l *QueryLog) Slow() []*Trace {
 	if l == nil {
 		return nil
 	}

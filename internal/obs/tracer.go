@@ -23,16 +23,19 @@ import (
 //     execution (rows, batches, elapsed, workers), nested by plan
 //     depth under the execute span when rendered.
 //
-// A Trace is mutated only by the goroutines of the query it records
-// and becomes immutable once Finish has run and the trace is handed
-// to a TraceStore; readers (HTTP handlers, SHOW TRACES) only see it
-// through the store. All methods are nil-safe no-ops.
+// A Trace is the query's only record: besides the timing it carries
+// the result rows, the error text and a slow mark, which /queries
+// reads. It is mutated only by the goroutines of the query it records
+// and becomes immutable once EndQuery has run and handed it to a
+// TraceStore and a QueryLog; readers (HTTP handlers, SHOW TRACES)
+// only see it through those. All methods are nil-safe no-ops.
 type Trace struct {
 	id      string
 	session int64
 	op      string
 	start   time.Time
 	forced  atomic.Bool
+	slow    atomic.Bool
 
 	// Root is the top of the span tree. It is built by the session
 	// goroutine only (same contract as Span).
@@ -41,6 +44,8 @@ type Trace struct {
 	mu       sync.Mutex
 	duration time.Duration
 	status   string
+	rows     int
+	errText  string
 	phases   []PhaseRecord
 	ops      []OpNode
 }
@@ -226,6 +231,44 @@ func (t *Trace) Finish(status string) {
 	}
 	t.status = status
 	t.mu.Unlock()
+}
+
+// SetResult records the query's outcome beside its timing: the rows
+// it returned and, when it failed, the error text.
+func (t *Trace) SetResult(rows int, err error) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.rows = rows
+	if err != nil {
+		t.errText = err.Error()
+	}
+	t.mu.Unlock()
+}
+
+// Result returns what SetResult recorded: the rows and the error text
+// ("" on success).
+func (t *Trace) Result() (rows int, errText string) {
+	if t == nil {
+		return 0, ""
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rows, t.errText
+}
+
+// MarkSlow marks the query slow by its session's threshold, so that
+// QueryLog.Record also files it in the slow ring.
+func (t *Trace) MarkSlow() {
+	if t != nil {
+		t.slow.Store(true)
+	}
+}
+
+// Slow reports whether MarkSlow ran.
+func (t *Trace) Slow() bool {
+	return t != nil && t.slow.Load()
 }
 
 // Duration returns the frozen trace duration (0 before Finish).

@@ -337,15 +337,3 @@ func TestParseLogLevel(t *testing.T) {
 		t.Error("bogus level must error")
 	}
 }
-
-func TestQueryRecordEffectiveStatus(t *testing.T) {
-	if s := (QueryRecord{Status: "shed"}).EffectiveStatus(); s != "shed" {
-		t.Errorf("explicit status: %q", s)
-	}
-	if s := (QueryRecord{Err: "boom"}).EffectiveStatus(); s != "error" {
-		t.Errorf("err fallback: %q", s)
-	}
-	if s := (QueryRecord{}).EffectiveStatus(); s != "ok" {
-		t.Errorf("default: %q", s)
-	}
-}

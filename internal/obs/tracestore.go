@@ -1,10 +1,46 @@
 package obs
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // defaultTraceCap bounds DefaultTraces and any store constructed with
 // a non-positive capacity.
 const defaultTraceCap = 256
+
+// ring is a fixed-capacity buffer of finished traces, allocated on the
+// first push: a push at capacity evicts the oldest trace. Its owner
+// locks around it.
+type ring struct {
+	buf  []*Trace
+	next int
+	full bool
+}
+
+// push appends t and returns the trace it evicted (nil while the ring
+// is filling).
+func (r *ring) push(capacity int, t *Trace) (evicted *Trace) {
+	if r.buf == nil {
+		r.buf = make([]*Trace, capacity)
+	}
+	evicted = r.buf[r.next]
+	r.buf[r.next] = t
+	r.next = (r.next + 1) % len(r.buf)
+	if r.next == 0 {
+		r.full = true
+	}
+	return evicted
+}
+
+// list returns the traces oldest-first.
+func (r *ring) list() []*Trace {
+	var out []*Trace
+	if r.full {
+		out = append(out, r.buf[r.next:]...)
+	}
+	return append(out, r.buf[:r.next]...)
+}
 
 // TraceStore is a bounded ring buffer of finished traces: when full,
 // adding a trace evicts the oldest one. Traces must be Finished (and
@@ -14,9 +50,7 @@ const defaultTraceCap = 256
 type TraceStore struct {
 	mu   sync.Mutex
 	cap  int
-	buf  []*Trace
-	next int
-	full bool
+	ring ring
 	byID map[string]*Trace
 }
 
@@ -40,22 +74,16 @@ func (s *TraceStore) Add(t *Trace) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.buf == nil {
+	if s.byID == nil {
 		if s.cap <= 0 {
 			s.cap = defaultTraceCap
 		}
-		s.buf = make([]*Trace, s.cap)
 		s.byID = make(map[string]*Trace, s.cap)
 	}
-	if old := s.buf[s.next]; old != nil {
+	if old := s.ring.push(s.cap, t); old != nil {
 		delete(s.byID, old.ID())
 	}
-	s.buf[s.next] = t
 	s.byID[t.ID()] = t
-	s.next = (s.next + 1) % len(s.buf)
-	if s.next == 0 {
-		s.full = true
-	}
 }
 
 // Get returns the retained trace with the given id, or nil.
@@ -74,19 +102,9 @@ func (s *TraceStore) List() []*Trace {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buf == nil {
-		return nil
-	}
-	var out []*Trace
-	for i := s.next - 1; i >= 0; i-- {
-		out = append(out, s.buf[i])
-	}
-	if s.full {
-		for i := len(s.buf) - 1; i >= s.next; i-- {
-			out = append(out, s.buf[i])
-		}
-	}
+	out := s.ring.list()
+	s.mu.Unlock()
+	slices.Reverse(out)
 	return out
 }
 
@@ -97,10 +115,10 @@ func (s *TraceStore) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.full {
-		return len(s.buf)
+	if s.ring.full {
+		return len(s.ring.buf)
 	}
-	return s.next
+	return s.ring.next
 }
 
 // Cap returns the store capacity.

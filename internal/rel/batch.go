@@ -88,9 +88,9 @@ func (b *Batch) TupleAt(i int) Tuple {
 	return t
 }
 
-// AppendTuplesTo appends every live row to ts as freshly-allocated
+// appendTuples appends every live row to ts as freshly-allocated
 // tuples and returns the extended slice.
-func (b *Batch) AppendTuplesTo(ts []Tuple) []Tuple {
+func (b *Batch) appendTuples(ts []Tuple) []Tuple {
 	for i, n := 0, b.Rows(); i < n; i++ {
 		ts = append(ts, b.TupleAt(i))
 	}
@@ -101,7 +101,7 @@ func (b *Batch) AppendTuplesTo(ts []Tuple) []Tuple {
 // schema.
 func (b *Batch) Relation() *Relation {
 	r := NewRelation(b.schema)
-	r.Tuples = b.AppendTuplesTo(nil)
+	r.Tuples = b.appendTuples(nil)
 	return r
 }
 
@@ -139,8 +139,8 @@ func (b *Batch) Project(s *Schema, cols []int) *Batch {
 	return out
 }
 
-// WithSchema returns a batch sharing b's data under a renamed schema.
-func (b *Batch) WithSchema(s *Schema) *Batch {
+// withSchema returns a batch sharing b's data under a renamed schema.
+func (b *Batch) withSchema(s *Schema) *Batch {
 	return &Batch{schema: s, cols: b.cols, sel: b.sel}
 }
 

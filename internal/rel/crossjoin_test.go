@@ -2,6 +2,16 @@ package rel
 
 import "testing"
 
+// crossJoin materialises the Cartesian product of rels qualified by
+// names through the streaming cross-join kernel.
+func crossJoin(rels []*Relation, names []string) (*Relation, error) {
+	its := make([]Iterator, len(rels))
+	for i, r := range rels {
+		its[i] = NewScan(r)
+	}
+	return Materialize(nil, NewCrossJoin(its, names))
+}
+
 func TestCrossJoinAll(t *testing.T) {
 	a := NewRelation(NewSchema("a", "", Attribute{Name: "x"}))
 	a.InsertVals(I(1))
@@ -13,7 +23,7 @@ func TestCrossJoinAll(t *testing.T) {
 	c.InsertVals(B(false))
 	c.InsertVals(Null)
 
-	j := must(CrossJoinAll([]*Relation{a, b, c}, []string{"A", "B", "C"}))
+	j := must(crossJoin([]*Relation{a, b, c}, []string{"A", "B", "C"}))
 	if j.Len() != 2*1*3 {
 		t.Fatalf("size = %d, want 6", j.Len())
 	}
@@ -39,18 +49,18 @@ func TestCrossJoinAllEmptyRelation(t *testing.T) {
 	a := NewRelation(NewSchema("a", "", Attribute{Name: "x"}))
 	a.InsertVals(I(1))
 	empty := NewRelation(NewSchema("b", "", Attribute{Name: "y"}))
-	j := must(CrossJoinAll([]*Relation{a, empty}, []string{"a", "b"}))
+	j := must(crossJoin([]*Relation{a, empty}, []string{"a", "b"}))
 	if j.Len() != 0 {
 		t.Fatal("cross with empty relation must be empty")
 	}
 }
 
 func TestCrossJoinAllErrors(t *testing.T) {
-	if _, err := CrossJoinAll(nil, nil); err == nil {
+	if _, err := crossJoin(nil, nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 	a := NewRelation(NewSchema("a", "", Attribute{Name: "x"}))
-	if _, err := CrossJoinAll([]*Relation{a}, []string{"a", "b"}); err == nil {
+	if _, err := crossJoin([]*Relation{a}, []string{"a", "b"}); err == nil {
 		t.Fatal("expected error for name/relation count mismatch")
 	}
 }

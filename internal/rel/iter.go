@@ -283,7 +283,7 @@ func Materialize(ctx context.Context, it Iterator) (*Relation, error) {
 		if b == nil {
 			break
 		}
-		ts = b.AppendTuplesTo(ts)
+		ts = b.appendTuples(ts)
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
@@ -550,7 +550,7 @@ func (k *renameKernel) next(o *op) (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	return b.WithSchema(o.schema), nil
+	return b.withSchema(o.schema), nil
 }
 
 // NewRename passes child through under a new relation name.
@@ -672,7 +672,7 @@ func (k *unionKernel) next(o *op) (*Batch, error) {
 			return nil, err
 		}
 		if b != nil {
-			return b.WithSchema(o.schema), nil
+			return b.withSchema(o.schema), nil
 		}
 		k.cur++
 	}

@@ -97,7 +97,7 @@ func (k *productKernel) start(o *op, mats []*Batch) {
 		k.joined = make(Tuple, len(o.schema.Attrs))
 		k.tuples = make([][]Tuple, len(mats))
 		for i, m := range mats {
-			k.tuples[i] = m.AppendTuplesTo(nil)
+			k.tuples[i] = m.appendTuples(nil)
 		}
 	}
 }
@@ -188,14 +188,10 @@ func (k *productKernel) next(o *op) (*Batch, error) {
 // attribute names qualified by the binding names. The first child
 // streams; the rest are gathered at Open.
 func NewCrossJoin(children []Iterator, names []string) Iterator {
-	return newCrossJoin("cross", children, names)
-}
-
-func newCrossJoin(outName string, children []Iterator, names []string) Iterator {
 	if len(children) != len(names) || len(children) == 0 {
-		return errOp("cross", errors.New("rel: CrossJoinAll needs one name per relation"))
+		return errOp("cross", errors.New("rel: a cross join needs one name per child"))
 	}
-	return newOp("cross", &productKernel{outName: outName, names: names}, children...)
+	return newOp("cross", &productKernel{outName: "cross", names: names}, children...)
 }
 
 // NewNestedLoopJoin joins left and right with an arbitrary predicate

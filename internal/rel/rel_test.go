@@ -189,7 +189,7 @@ func TestHashJoin(t *testing.T) {
 	iss := NewRelation(NewSchema("iss", "issuer", Attribute{Name: "issuer"}, Attribute{Name: "country"}))
 	iss.InsertVals(S("G&L"), S("UK"))
 	iss.InsertVals(S("company1"), S("UK"))
-	j := must(HashJoin(p, iss, "issuer", "issuer"))
+	j := must(hashJoin(p, iss, "issuer", "issuer", false))
 	if j.Len() != 3 {
 		t.Fatalf("join size = %d, want 3", j.Len())
 	}
@@ -205,22 +205,36 @@ func TestHashJoin(t *testing.T) {
 	_ = c
 }
 
+// hashJoin materialises a ⋈ b on leftAttr = rightAttr through the
+// hash-join kernel, building its table on a when buildLeft.
+func hashJoin(a, b *Relation, leftAttr, rightAttr string, buildLeft bool) (*Relation, error) {
+	return Materialize(nil, NewHashJoinP(NewScan(a), NewScan(b), leftAttr, rightAttr, buildLeft, 1))
+}
+
 func TestHashJoinBuildSideSwap(t *testing.T) {
-	// Larger left side than right forces a swap; layout must not change.
+	// Building on either side, of either join order, must not change
+	// the size or the output layout (a's values first).
 	a := NewRelation(NewSchema("a", "", Attribute{Name: "k"}, Attribute{Name: "va"}))
 	for i := 0; i < 10; i++ {
 		a.InsertVals(I(int64(i%3)), I(int64(i)))
 	}
 	b := NewRelation(NewSchema("b", "", Attribute{Name: "k"}, Attribute{Name: "vb"}))
 	b.InsertVals(I(1), S("one"))
-	j1 := must(HashJoin(a, b, "k", "k"))
-	j2 := must(HashJoin(b, a, "k", "k"))
-	if j1.Len() != j2.Len() {
-		t.Fatalf("asymmetric join sizes: %d vs %d", j1.Len(), j2.Len())
-	}
-	for _, tp := range j1.Tuples {
-		if tp[j1.Schema.Col("a.k")].Int() != 1 || tp[j1.Schema.Col("b.vb")].Str() != "one" {
-			t.Fatalf("layout broken: %v", tp)
+	for _, buildLeft := range []bool{true, false} {
+		j1 := must(hashJoin(a, b, "k", "k", buildLeft))
+		j2 := must(hashJoin(b, a, "k", "k", buildLeft))
+		if j1.Len() != j2.Len() {
+			t.Fatalf("buildLeft=%v: asymmetric join sizes: %d vs %d", buildLeft, j1.Len(), j2.Len())
+		}
+		for _, tp := range j1.Tuples {
+			if tp[j1.Schema.Col("a.k")].Int() != 1 || tp[j1.Schema.Col("b.vb")].Str() != "one" {
+				t.Fatalf("buildLeft=%v: layout broken: %v", buildLeft, tp)
+			}
+		}
+		for _, tp := range j2.Tuples {
+			if tp[j2.Schema.Col("b.vb")].Str() != "one" || tp[j2.Schema.Col("a.k")].Int() != 1 {
+				t.Fatalf("buildLeft=%v: layout broken: %v", buildLeft, tp)
+			}
 		}
 	}
 }
@@ -230,8 +244,10 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	a.InsertVals(Null)
 	b := NewRelation(NewSchema("b", "", Attribute{Name: "k"}))
 	b.InsertVals(Null)
-	if j := must(HashJoin(a, b, "k", "k")); j.Len() != 0 {
-		t.Fatal("null keys must not join")
+	for _, buildLeft := range []bool{true, false} {
+		if j := must(hashJoin(a, b, "k", "k", buildLeft)); j.Len() != 0 {
+			t.Fatalf("buildLeft=%v: null keys must not join", buildLeft)
+		}
 	}
 }
 
@@ -313,7 +329,7 @@ func TestNestedLoopJoin(t *testing.T) {
 
 func TestCrossProduct(t *testing.T) {
 	c, p := customers(), products()
-	x := must(CrossProduct(c, p, "c", "p"))
+	x := must(crossJoin([]*Relation{c, p}, []string{"c", "p"}))
 	if x.Len() != c.Len()*p.Len() {
 		t.Fatalf("cross size = %d", x.Len())
 	}
@@ -327,15 +343,15 @@ func TestDistinctUnionSort(t *testing.T) {
 	r.InsertVals(I(2))
 	r.InsertVals(I(1))
 	r.InsertVals(I(2))
-	d := Distinct(r)
+	d := must(Materialize(nil, NewDistinct(NewScan(r))))
 	if d.Len() != 2 {
 		t.Fatalf("distinct = %d", d.Len())
 	}
-	u := must(Union(d, d))
+	u := must(Materialize(nil, NewUnion(NewScan(d), NewScan(d))))
 	if u.Len() != 4 {
 		t.Fatalf("union = %d", u.Len())
 	}
-	s := must(SortBy(r, "x"))
+	s := must(Materialize(nil, NewSort(NewScan(r), Asc("x")...)))
 	if s.Tuples[0][0].Int() != 1 || s.Tuples[2][0].Int() != 2 {
 		t.Fatal("sort wrong")
 	}
@@ -346,7 +362,7 @@ func TestSortStability(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.InsertVals(I(int64(i%2)), I(int64(i)))
 	}
-	s := must(SortBy(r, "k"))
+	s := must(Materialize(nil, NewSort(NewScan(r), Asc("k")...)))
 	last := int64(-1)
 	for _, t2 := range s.Tuples {
 		if t2[0].Int() == 0 {
@@ -358,9 +374,15 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
+// aggregate materialises r grouped by groupBy through the aggregate
+// kernel.
+func aggregate(r *Relation, groupBy []string, specs []AggSpec) (*Relation, error) {
+	return Materialize(nil, NewAggregate(NewScan(r), groupBy, specs))
+}
+
 func TestAggregate(t *testing.T) {
 	p := products()
-	a := must(Aggregate(p, []string{"type"}, []AggSpec{
+	a := must(aggregate(p, []string{"type"}, []AggSpec{
 		{Func: AggCount, Attr: "*", As: "n"},
 		{Func: AggAvg, Attr: "price", As: "avg_price"},
 		{Func: AggMin, Attr: "price", As: "min_price"},
@@ -391,7 +413,7 @@ func TestAggregate(t *testing.T) {
 
 func TestAggregateGlobalEmptyInput(t *testing.T) {
 	r := NewRelation(NewSchema("r", "", Attribute{Name: "x"}))
-	a := must(Aggregate(r, nil, []AggSpec{{Func: AggCount, Attr: "*", As: "n"}, {Func: AggAvg, Attr: "x", As: "m"}}))
+	a := must(aggregate(r, nil, []AggSpec{{Func: AggCount, Attr: "*", As: "n"}, {Func: AggAvg, Attr: "x", As: "m"}}))
 	if a.Len() != 1 {
 		t.Fatal("global aggregate over empty input must yield one row")
 	}
@@ -404,7 +426,7 @@ func TestAggregateIgnoresNulls(t *testing.T) {
 	r := NewRelation(NewSchema("r", "", Attribute{Name: "x"}))
 	r.InsertVals(I(10))
 	r.InsertVals(Null)
-	a := must(Aggregate(r, nil, []AggSpec{
+	a := must(aggregate(r, nil, []AggSpec{
 		{Func: AggCount, Attr: "x", As: "n"},
 		{Func: AggAvg, Attr: "x", As: "avg"},
 	}))

@@ -105,6 +105,25 @@ func NewSort(child Iterator, keys ...SortKey) Iterator {
 
 // ----------------------------------------------------------- aggregate
 
+// AggFunc enumerates aggregate functions.
+type AggFunc int
+
+// Aggregate functions supported by NewAggregate.
+const (
+	AggCount AggFunc = iota
+	AggSum
+	AggAvg
+	AggMin
+	AggMax
+)
+
+// AggSpec is one aggregate output column.
+type AggSpec struct {
+	Func AggFunc
+	Attr string // ignored for AggCount with Attr == "*"
+	As   string
+}
+
 type aggKernel struct {
 	baseKernel
 	groupBy []string

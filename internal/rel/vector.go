@@ -25,27 +25,12 @@ type Vector struct {
 // Len returns the number of rows in the vector.
 func (v *Vector) Len() int { return len(v.kinds) }
 
-// KindAt returns row i's kind.
-func (v *Vector) KindAt(i int) Kind { return v.kinds[i] }
-
 // IsNull reports whether row i is null.
 func (v *Vector) IsNull(i int) bool { return v.kinds[i] == KindNull }
 
-// Kinds exposes the per-row kind tags for kernel loops. Read-only.
-func (v *Vector) Kinds() []Kind { return v.kinds }
-
-// Strs exposes the string payload array (may be shorter than Len;
-// index it only at rows whose kind is KindString). Read-only.
-func (v *Vector) Strs() []string { return v.strs }
-
-// Ints exposes the int payload array under the same contract as Strs.
+// Ints exposes the int payload array (may be shorter than Len; index
+// it only at rows whose kind is KindInt). Read-only.
 func (v *Vector) Ints() []int64 { return v.ints }
-
-// Floats exposes the float payload array under the same contract.
-func (v *Vector) Floats() []float64 { return v.floats }
-
-// Bools exposes the bool payload array under the same contract.
-func (v *Vector) Bools() []bool { return v.bools }
 
 // ValueAt returns row i as a Value. This allocates nothing (Value is a
 // plain struct), so per-row access from kernels stays cheap.

@@ -62,11 +62,11 @@ type Config struct {
 	// Traces retains kept traces for /traces and SHOW TRACES; nil
 	// means obs.DefaultTraces.
 	Traces *obs.TraceStore
-	// Queries is the server-wide query log: every request outcome
-	// lands here — including admission sheds, with status "shed" — so
-	// /queries reconciles with server_shed_total. Nil means
-	// obs.DefaultQueries. (Each session additionally keeps a private
-	// log for its SET SLOW_QUERY_MS scope.)
+	// Queries is the server-wide query log: every request's finished
+	// trace lands here once — including admission sheds, with status
+	// "shed" — so /queries reconciles with server_shed_total. A trace
+	// counts as slow by its session's SET SLOW_QUERY_MS. Nil means
+	// obs.DefaultQueries.
 	Queries *obs.QueryLog
 	// Log receives structured JSON records (session lifecycle, shed
 	// decisions with reasons and trace ids, query failures); nil
@@ -283,10 +283,6 @@ func (s *Server) runSession(conn net.Conn) {
 	eng.Tracer = s.tracer
 	eng.Traces = s.traces
 	eng.Log = slog
-	// A private query log isolates SET SLOW_QUERY_MS per session; the
-	// shared registry still counts slow queries engine-wide, and the
-	// server-wide log (s.queries) records every outcome including sheds.
-	eng.Queries = obs.NewQueryLog()
 	ss := &session{
 		id:       id,
 		eng:      eng,
@@ -447,17 +443,12 @@ func (ss *session) runQuery(ctx context.Context, in inbound, q string) Response 
 		code, status := "error", "error"
 		if busy {
 			code, status = "busy", "shed"
-		}
-		tr.Finish(status)
-		if busy || ss.tracer.Keep(tr) {
 			// Shed traces are always retained: the whole point of shedding
 			// visibility is finding the requests that never ran.
-			ss.traces.Add(tr)
+			tr.SetForced()
 		}
-		ss.queries.Record(obs.QueryRecord{
-			Query: q, Start: in.recvAt, Duration: tr.Duration(),
-			Status: status, TraceID: tr.ID(), Err: err.Error(),
-		})
+		tr.SetResult(0, err)
+		obs.EndQuery(tr, status, ss.tracer, ss.traces, ss.queries)
 		ss.log.Warn("request shed", "reason", shedReason(err),
 			"trace_id", tr.ID(), "query", truncateQuery(q))
 		return errRespTraced(id, code, err, tr.ID())
@@ -471,25 +462,14 @@ func (ss *session) runQuery(ctx context.Context, in inbound, q string) Response 
 	elapsed := time.Since(start)
 	ss.reg.Histogram("server_request_seconds", nil).Observe(elapsed.Seconds())
 
-	status := "ok"
+	status, n := "ok", 0
 	if err != nil {
 		status = "error"
+	} else if out != nil {
+		n = out.Len()
 	}
-	tr.Finish(status)
-	if ss.tracer.Keep(tr) {
-		ss.traces.Add(tr)
-	}
-	rec := obs.QueryRecord{
-		Query: q, Start: in.recvAt, Duration: tr.Duration(),
-		Status: status, TraceID: tr.ID(),
-	}
-	if out != nil {
-		rec.Rows = out.Len()
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	ss.queries.Record(rec)
+	tr.SetResult(n, err)
+	obs.EndQuery(tr, status, ss.tracer, ss.traces, ss.queries)
 	if err != nil {
 		return errRespTraced(id, "error", err, tr.ID())
 	}

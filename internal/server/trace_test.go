@@ -202,17 +202,17 @@ func TestShedRequestsTracedAndLogged(t *testing.T) {
 		t.Fatalf("trace status = %q, want shed", tr.Status())
 	}
 
-	var rec obs.QueryRecord
+	var rec *obs.Trace
 	for _, r := range ql.Recent() {
-		if r.TraceID == resp.TraceID {
+		if r.ID() == resp.TraceID {
 			rec = r
 		}
 	}
-	if rec.TraceID == "" {
+	if rec == nil {
 		t.Fatal("shed request missing from shared query log")
 	}
-	if rec.EffectiveStatus() != "shed" {
-		t.Fatalf("query log status = %q, want shed", rec.EffectiveStatus())
+	if rec.Status() != "shed" {
+		t.Fatalf("query log status = %q, want shed", rec.Status())
 	}
 
 	logged := false
@@ -255,11 +255,79 @@ func TestErrorQueryTraced(t *testing.T) {
 	}
 	found := false
 	for _, r := range ql.Recent() {
-		if r.TraceID == resp.TraceID && r.EffectiveStatus() == "error" {
+		if r.ID() == resp.TraceID && r.Status() == "error" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("error not recorded in shared query log")
+	}
+}
+
+// TestSlowQueriesReachSharedLog: a session's SET SLOW_QUERY_MS decides
+// which of its queries the server's shared log files as slow, each
+// request is filed there exactly once, and the threshold stays the
+// session's own.
+func TestSlowQueriesReachSharedLog(t *testing.T) {
+	srv, ts, ql := tracedServer(t, Limits{}, nil, nil)
+	c := dialPipe(t, srv)
+	c.mustRows("SET SLOW_QUERY_MS 1")
+
+	const n = 20
+	const q = "select * from customer as c, product as p, customer as c2, product as p2"
+	rows := map[string]int{}
+	var slowIDs []string
+	for i := 0; i < n; i++ {
+		resp := c.mustRows(q)
+		rows[resp.TraceID] = resp.RowsTotal
+		// The engine marks a query slow by its own "query" span.
+		var engine time.Duration
+		ts.Get(resp.TraceID).Root.Walk(func(sp *obs.Span, _ int) {
+			if sp.Name == "query" {
+				engine = sp.Duration
+			}
+		})
+		if engine >= time.Millisecond {
+			slowIDs = append(slowIDs, resp.TraceID)
+		}
+	}
+	if len(slowIDs) == 0 {
+		t.Fatalf("none of %d cross products took 1ms; the test needs a heavier query", n)
+	}
+	var gotSlow []string
+	for _, tr := range ql.Slow() {
+		gotSlow = append(gotSlow, tr.ID())
+		if got, _ := tr.Result(); got != rows[tr.ID()] || got == 0 {
+			t.Errorf("slow record %s: rows = %d, want %d", tr.ID(), got, rows[tr.ID()])
+		}
+	}
+	if strings.Join(gotSlow, ",") != strings.Join(slowIDs, ",") {
+		t.Fatalf("slow ring = %v, want the %d queries over 1ms %v", gotSlow, len(slowIDs), slowIDs)
+	}
+	t.Logf("%d of %d queries took at least 1ms", len(slowIDs), n)
+
+	other := dialPipe(t, srv)
+	show := other.mustRows("SHOW SESSION")
+	threshold := ""
+	for _, row := range show.Rows {
+		if row[0] == "slow_query_ms" {
+			threshold = row[1]
+		}
+	}
+	if threshold != "0" {
+		t.Fatalf("second session reads slow_query_ms %q, want 0", threshold)
+	}
+
+	// SET, the n queries and SHOW SESSION: one record each.
+	recent := ql.Recent()
+	if len(recent) != n+2 {
+		t.Fatalf("query log holds %d records for %d requests", len(recent), n+2)
+	}
+	seen := map[string]bool{}
+	for _, tr := range recent {
+		if seen[tr.ID()] {
+			t.Fatalf("trace %s filed twice", tr.ID())
+		}
+		seen[tr.ID()] = true
 	}
 }
