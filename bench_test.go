@@ -359,16 +359,19 @@ func BenchmarkTracingOverhead(b *testing.B) {
 }
 
 // BenchmarkLSTMTrain is Exp-3(I)(a): language-model training on one
-// collection's random-walk corpus.
+// collection's random-walk corpus of 8-step walks, the fixture's walk
+// length. It reports the sentences trained per second.
 func BenchmarkLSTMTrain(b *testing.B) {
 	r := benchRun(b, "Drugs")
 	corpus := core.BuildCorpus(r.C.G, 3, 8, benchSeed)
 	vocab := nn.BuildVocab(corpus, 1)
+	const epochs = 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := nn.NewLSTM(vocab, nn.LSTMConfig{Seed: benchSeed})
-		m.Train(corpus, 2)
+		m.Train(corpus, epochs)
 	}
+	b.ReportMetric(float64(b.N*epochs*len(corpus))/b.Elapsed().Seconds(), "sentences/s")
 }
 
 // BenchmarkPrecompute is Exp-3(I)(b): offline materialisation for static

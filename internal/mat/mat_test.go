@@ -128,14 +128,6 @@ func TestSoftmax(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	v := Vector{-10, 0.5, 10}
-	v.Clip(1)
-	if v[0] != -1 || v[1] != 0.5 || v[2] != 1 {
-		t.Fatalf("Clip: got %v", v)
-	}
-}
-
 func TestMatrixMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
@@ -319,10 +311,6 @@ func TestMatrixSmallOps(t *testing.T) {
 	m.AddScaled(2, o)
 	if m.At(1, 0) != 6 {
 		t.Fatal("AddScaled wrong")
-	}
-	m.Clip(5)
-	if m.At(0, 1) != 5 {
-		t.Fatal("Clip wrong")
 	}
 	m.Zero()
 	if m.At(0, 1) != 0 || m.At(1, 0) != 0 {

@@ -116,9 +116,6 @@ func (m *Matrix) AddOuter(a float64, u, v Vector) {
 	}
 }
 
-// Clip bounds every element of m to [-c, c].
-func (m *Matrix) Clip(c float64) { Vector(m.Data).Clip(c) }
-
 func (m *Matrix) checkSameShape(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("mat: shape mismatch %dx%d != %dx%d", m.Rows, m.Cols, o.Rows, o.Cols)) //lint:allow nopanic shape invariant: linear-algebra misuse, not a data error

@@ -196,17 +196,6 @@ func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Tanh returns the hyperbolic tangent of x.
 func Tanh(x float64) float64 { return math.Tanh(x) }
 
-// Clip bounds every element of v to [-c, c].
-func (v Vector) Clip(c float64) {
-	for i, x := range v {
-		if x > c {
-			v[i] = c
-		} else if x < -c {
-			v[i] = -c
-		}
-	}
-}
-
 func checkLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("mat: length mismatch %d != %d", a, b)) //lint:allow nopanic shape invariant: linear-algebra misuse, not a data error

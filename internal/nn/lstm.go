@@ -92,10 +92,6 @@ type LSTM struct {
 	wo  *mat.Matrix // V×h output projection
 	bo  mat.Vector  // V output bias
 
-	// gradient buffers (same shapes)
-	gEmb, gWx, gWh, gWo *mat.Matrix
-	gB, gBo             mat.Vector
-
 	optEmb, optWx, optWh, optWo, optB, optBo *Adam
 }
 
@@ -111,13 +107,6 @@ func NewLSTM(vocab *Vocab, cfg LSTMConfig) *LSTM {
 		b:   mat.NewVector(4 * h),
 		wo:  mat.NewMatrix(V, h),
 		bo:  mat.NewVector(V),
-
-		gEmb: mat.NewMatrix(V, d),
-		gWx:  mat.NewMatrix(4*h, d),
-		gWh:  mat.NewMatrix(4*h, h),
-		gB:   mat.NewVector(4 * h),
-		gWo:  mat.NewMatrix(V, h),
-		gBo:  mat.NewVector(V),
 	}
 	rng := mat.NewRNG(cfg.Seed)
 	initScale := func(mx *mat.Matrix, fanIn int) {
@@ -148,15 +137,6 @@ func (m *LSTM) Vocab() *Vocab { return m.vocab }
 // embeddings).
 func (m *LSTM) EmbedDim() int { return m.cfg.HiddenDim }
 
-// step holds the forward caches of one timestep for BPTT.
-type step struct {
-	id           int        // input token id
-	i, f, g, o   mat.Vector // post-activation gates
-	c, tanhC, h  mat.Vector
-	hPrev, cPrev mat.Vector
-	probs        mat.Vector // softmax output
-}
-
 // preact computes the gate pre-activations z = Wx·x(id) + Wh·hPrev + b
 // (gate order i, f, g, o) into z, using tmp (same length) as scratch.
 func (m *LSTM) preact(z, tmp mat.Vector, id int, hPrev mat.Vector) {
@@ -164,181 +144,6 @@ func (m *LSTM) preact(z, tmp mat.Vector, id int, hPrev mat.Vector) {
 	m.wh.MulVec(tmp, hPrev)
 	z.Add(tmp)
 	z.Add(m.b)
-}
-
-// forwardStep advances (hPrev, cPrev) by token id, returning the caches.
-func (m *LSTM) forwardStep(id int, hPrev, cPrev mat.Vector, withOutput bool) step {
-	h := m.cfg.HiddenDim
-	z := mat.NewVector(4 * h)
-	m.preact(z, mat.NewVector(4*h), id, hPrev)
-	st := step{
-		id: id, hPrev: hPrev, cPrev: cPrev,
-		i: mat.NewVector(h), f: mat.NewVector(h), g: mat.NewVector(h), o: mat.NewVector(h),
-		c: mat.NewVector(h), tanhC: mat.NewVector(h), h: mat.NewVector(h),
-	}
-	for j := 0; j < h; j++ {
-		st.i[j] = mat.Sigmoid(z[j])
-		st.f[j] = mat.Sigmoid(z[h+j])
-		st.g[j] = mat.Tanh(z[2*h+j])
-		st.o[j] = mat.Sigmoid(z[3*h+j])
-		st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
-		st.tanhC[j] = mat.Tanh(st.c[j])
-		st.h[j] = st.o[j] * st.tanhC[j]
-	}
-	if withOutput {
-		logits := mat.NewVector(m.vocab.Size())
-		m.wo.MulVec(logits, st.h)
-		logits.Add(m.bo)
-		st.probs = mat.Softmax(logits, logits)
-	}
-	return st
-}
-
-// trainSentence runs forward + BPTT over one encoded sentence and applies
-// one Adam step. It returns the summed negative log-likelihood and the
-// number of predicted tokens.
-func (m *LSTM) trainSentence(ids []int) (nll float64, n int) {
-	nll, n = m.accumulateGrads(ids)
-	if n == 0 {
-		return nll, n
-	}
-	c := m.cfg.Clip
-	for _, g := range []*mat.Matrix{m.gEmb, m.gWx, m.gWh, m.gWo} {
-		g.Clip(c)
-	}
-	m.gB.Clip(c)
-	m.gBo.Clip(c)
-	m.optEmb.Step(m.emb.Data, m.gEmb.Data)
-	m.optWx.Step(m.wx.Data, m.gWx.Data)
-	m.optWh.Step(m.wh.Data, m.gWh.Data)
-	m.optWo.Step(m.wo.Data, m.gWo.Data)
-	m.optB.Step(m.b, m.gB)
-	m.optBo.Step(m.bo, m.gBo)
-	m.zeroGrads()
-	return nll, n
-}
-
-func (m *LSTM) zeroGrads() {
-	m.gEmb.Zero()
-	m.gWx.Zero()
-	m.gWh.Zero()
-	m.gWo.Zero()
-	m.gB.Zero()
-	m.gBo.Zero()
-}
-
-// accumulateGrads runs the forward pass and full BPTT for one sentence,
-// accumulating into the gradient buffers without stepping the optimiser.
-func (m *LSTM) accumulateGrads(ids []int) (nll float64, n int) {
-	if len(ids) < 2 {
-		return 0, 0
-	}
-	h := m.cfg.HiddenDim
-	steps := make([]step, 0, len(ids)-1)
-	hv, cv := mat.NewVector(h), mat.NewVector(h)
-	for t := 0; t+1 < len(ids); t++ {
-		st := m.forwardStep(ids[t], hv, cv, true)
-		target := ids[t+1]
-		p := st.probs[target]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		nll += -math.Log(p)
-		n++
-		steps = append(steps, st)
-		hv, cv = st.h, st.c
-	}
-
-	// Backward.
-	dhNext := mat.NewVector(h)
-	dcNext := mat.NewVector(h)
-	dz := mat.NewVector(4 * h)
-	dx := mat.NewVector(m.cfg.EmbedDim)
-	for t := len(steps) - 1; t >= 0; t-- {
-		st := &steps[t]
-		target := ids[t+1]
-		// Output layer: dlogits = probs - onehot(target).
-		dlogits := st.probs // reuse; forward caches not needed afterwards
-		dlogits[target] -= 1
-		m.gWo.AddOuter(1, dlogits, st.h)
-		m.gBo.Add(dlogits)
-		dh := mat.NewVector(h)
-		m.wo.MulVecT(dh, dlogits)
-		dh.Add(dhNext)
-
-		dc := mat.NewVector(h)
-		copy(dc, dcNext)
-		for j := 0; j < h; j++ {
-			do := dh[j] * st.tanhC[j]
-			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tanhC[j]*st.tanhC[j])
-			di := dcj * st.g[j]
-			dg := dcj * st.i[j]
-			df := dcj * st.cPrev[j]
-			dcNext[j] = dcj * st.f[j]
-			dz[j] = di * st.i[j] * (1 - st.i[j])
-			dz[h+j] = df * st.f[j] * (1 - st.f[j])
-			dz[2*h+j] = dg * (1 - st.g[j]*st.g[j])
-			dz[3*h+j] = do * st.o[j] * (1 - st.o[j])
-		}
-		x := m.emb.Row(st.id)
-		m.gWx.AddOuter(1, dz, x)
-		m.gWh.AddOuter(1, dz, st.hPrev)
-		m.gB.Add(dz)
-		m.wx.MulVecT(dx, dz)
-		m.gEmb.Row(st.id).Add(dx)
-		m.wh.MulVecT(dhNext, dz)
-	}
-	return nll, n
-}
-
-// Train fits the model on the corpus for the given number of epochs and
-// returns the training perplexity of the final epoch.
-func (m *LSTM) Train(corpus [][]string, epochs int) float64 {
-	rng := mat.NewRNG(m.cfg.Seed + 77)
-	encoded := make([][]int, len(corpus))
-	for i, sent := range corpus {
-		encoded[i] = m.vocab.EncodeSentence(sent)
-	}
-	var ppl float64
-	for e := 0; e < epochs; e++ {
-		var nll float64
-		var n int
-		perm := rng.Perm(len(encoded))
-		for _, i := range perm {
-			dn, dc := m.trainSentence(encoded[i])
-			nll += dn
-			n += dc
-		}
-		if n > 0 {
-			ppl = math.Exp(nll / float64(n))
-		}
-	}
-	return ppl
-}
-
-// Perplexity evaluates the model on a corpus without training.
-func (m *LSTM) Perplexity(corpus [][]string) float64 {
-	var nll float64
-	var n int
-	h := m.cfg.HiddenDim
-	for _, sent := range corpus {
-		ids := m.vocab.EncodeSentence(sent)
-		hv, cv := mat.NewVector(h), mat.NewVector(h)
-		for t := 0; t+1 < len(ids); t++ {
-			st := m.forwardStep(ids[t], hv, cv, true)
-			p := st.probs[ids[t+1]]
-			if p < 1e-12 {
-				p = 1e-12
-			}
-			nll += -math.Log(p)
-			n++
-			hv, cv = st.h, st.c
-		}
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return math.Exp(nll / float64(n))
 }
 
 // lstmState implements State. It owns its vectors — h, c and the gate
@@ -363,8 +168,8 @@ func (m *LSTM) Start() State {
 	return s
 }
 
-// Feed advances the state by one token: forwardStep's arithmetic,
-// updating h and c in place.
+// Feed advances the state by one token: the training recurrence's
+// arithmetic (lstmTrainer.recur), updating h and c in place.
 func (s *lstmState) Feed(token string) {
 	h := len(s.h)
 	z := s.z

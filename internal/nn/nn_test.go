@@ -177,22 +177,10 @@ func TestLSTMGradientCheck(t *testing.T) {
 	m := NewLSTM(v, LSTMConfig{EmbedDim: 3, HiddenDim: 4, Seed: 2})
 	ids := v.EncodeSentence([]string{"a", "b"})
 
-	loss := func() float64 {
-		h := m.cfg.HiddenDim
-		hv, cv := mat.NewVector(h), mat.NewVector(h)
-		var nll float64
-		for t := 0; t+1 < len(ids); t++ {
-			st := m.forwardStep(ids[t], hv, cv, true)
-			nll += -math.Log(st.probs[ids[t+1]])
-			hv, cv = st.h, st.c
-		}
-		return nll
-	}
+	loss := func() float64 { return m.newTrainer(1, len(ids)-1).forward(ids, 0) }
 
-	// Capture analytic gradients by running backward with LR=0 so the
-	// optimiser leaves parameters untouched, then reading the grad
-	// buffers before trainSentence zeroes them is impossible — so instead
-	// capture them via gradsForSentence (test hook below).
+	// The analytic gradients, without an optimiser step: wo's, bo's,
+	// wx's, wh's and b's as the fused passes sum them before they step.
 	grads := m.gradsForSentence(ids)
 	const eps = 1e-5
 	check := func(name string, params []float64, g []float64, idx int) {
@@ -217,7 +205,7 @@ func TestLSTMGradientCheck(t *testing.T) {
 
 	// And one real step reduces the loss.
 	before := loss()
-	m.trainSentence(ids)
+	m.Train([][]string{{"a", "b"}}, 1)
 	after := loss()
 	if after >= before {
 		t.Fatalf("one Adam step should reduce loss: %.6f -> %.6f", before, after)
@@ -326,21 +314,77 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestClipStepZero pins the fused optimiser pass against the three
+// passes it replaces — clip every gradient to [-c, c], Step, zero — on
+// tensors whose gradients cross the bounds, at several splits of their
+// elements over workers, including splits that cut a tensor.
+func TestClipStepZero(t *testing.T) {
+	if clip(-10, 1) != -1 || clip(0.5, 1) != 0.5 || clip(10, 1) != 1 {
+		t.Fatal("clip does not bound to [-c, c]")
+	}
+	const c = 5
+	for _, procs := range []int{1, 2, 3, 8} {
+		rng := mat.NewRNG(uint64(procs))
+		var fused, ref []tensor
+		for _, n := range []int{5000, 3, 9000} {
+			p := mat.NewVector(n)
+			rng.FillUniform(p, 1)
+			fused = append(fused, tensor{params: p, grads: mat.NewVector(n), opt: NewAdam(n, 0.01)})
+			ref = append(ref, tensor{params: p.Clone(), grads: mat.NewVector(n), opt: NewAdam(n, 0.01)})
+		}
+		for step := 0; step < 3; step++ {
+			for k := range fused {
+				rng.FillUniform(fused[k].grads, 8)
+				g := ref[k].grads
+				copy(g, fused[k].grads)
+				for i, x := range g {
+					if x > c {
+						g[i] = c
+					} else if x < -c {
+						g[i] = -c
+					}
+				}
+				ref[k].opt.Step(ref[k].params, g)
+			}
+			clipStepZero(procs, c, fused)
+			for k := range fused {
+				for i, x := range fused[k].params {
+					if x != ref[k].params[i] || fused[k].grads[i] != 0 {
+						t.Fatalf("procs %d step %d tensor %d [%d]: param %v, want %v; grad %v, want 0",
+							procs, step, k, i, x, ref[k].params[i], fused[k].grads[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // capturedGrads snapshots the LSTM gradient buffers for the gradient test.
 type capturedGrads struct {
 	emb, wx, wh, wo, b, bo []float64
 }
 
-// gradsForSentence runs one backward pass and returns copies of the
-// accumulated gradients, leaving the model unchanged.
+// gradsForSentence runs one backward pass and returns the gradients,
+// leaving the model unchanged. Training stores only the embedding's
+// gradient; the other rows are those the fused passes step with.
 func (m *LSTM) gradsForSentence(ids []int) capturedGrads {
-	m.accumulateGrads(ids)
-	cp := func(s []float64) []float64 { return append([]float64(nil), s...) }
-	g := capturedGrads{
-		emb: cp(m.gEmb.Data), wx: cp(m.gWx.Data), wh: cp(m.gWh.Data),
-		wo: cp(m.gWo.Data), b: cp(m.gB), bo: cp(m.gBo),
+	T := len(ids) - 1
+	tr := m.newTrainer(1, T)
+	tr.forward(ids, 0)
+	tr.outputDeltas(ids)
+	tr.backward(ids)
+	rows := func(l dense) (w, b []float64) {
+		w = make([]float64, len(l.w.Data))
+		b = make([]float64, l.w.Rows)
+		for i := range b {
+			b[i] = sumRow(w[i*l.w.Cols:(i+1)*l.w.Cols], i, T, l.coef, l.in)
+		}
+		return w, b
 	}
-	m.zeroGrads()
+	g := capturedGrads{emb: tr.gEmb.Data}
+	g.wo, g.bo = rows(tr.output.ls[0])
+	g.wx, g.b = rows(tr.recurrent.ls[0])
+	g.wh, _ = rows(tr.recurrent.ls[1])
 	return g
 }
 
@@ -421,24 +465,29 @@ func TestScoresOrderAsProbs(t *testing.T) {
 }
 
 // TestLSTMFeedMatchesForwardStep pins that the allocation-free decoding
-// step is the training forward pass bit for bit, through clones.
+// step is the training recurrence bit for bit, through clones.
 func TestLSTMFeedMatchesForwardStep(t *testing.T) {
 	corpus := toyCorpus(20)
 	m := NewLSTM(BuildVocab(corpus, 1), LSTMConfig{Seed: 9})
 	m.Train(corpus, 1)
-	h, c := mat.NewVector(m.cfg.HiddenDim), mat.NewVector(m.cfg.HiddenDim)
-	st := m.forwardStep(m.vocab.ID(BOS), h, c, false)
+	toks := []string{BOS, "a", "x1", "never-seen", "b", "y1", EOS}
+	ids := make([]int, len(toks))
+	for i, tok := range toks {
+		ids[i] = m.vocab.ID(tok)
+	}
+	tr := m.newTrainer(1, len(ids))
+	tr.recurrence(ids)
 	s := m.Start()
-	for i, tok := range []string{"a", "x1", "never-seen", "b", "y1", EOS} {
-		st = m.forwardStep(m.vocab.ID(tok), st.h, st.c, false)
+	for i, tok := range toks[1:] {
 		if i%2 == 1 {
 			s = s.Clone()
 		}
 		s.Feed(tok)
 		got := s.(*lstmState)
-		for j := range st.h {
-			if got.h[j] != st.h[j] || got.c[j] != st.c[j] {
-				t.Fatalf("after %q: state differs at %d: h %v vs %v, c %v vs %v", tok, j, got.h[j], st.h[j], got.c[j], st.c[j])
+		wantH, wantC := tr.hs.Row(i+2), tr.cs.Row(i+2)
+		for j := range wantH {
+			if got.h[j] != wantH[j] || got.c[j] != wantC[j] {
+				t.Fatalf("after %q: state differs at %d: h %v vs %v, c %v vs %v", tok, j, got.h[j], wantH[j], got.c[j], wantC[j])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 
 	"semjoin/internal/mat"
 )
@@ -68,7 +69,7 @@ type Transformer struct {
 	gEmb, gPos, gWq, gWk, gWv, gWao, gW1, gW2, gWout *mat.Matrix
 	gB1, gB2, gBout                                  mat.Vector
 
-	opts []*Adam // aligned with params()
+	tensors []tensor // every parameter with its gradient and optimiser
 }
 
 // NewTransformer builds an untrained model over vocab.
@@ -95,23 +96,17 @@ func NewTransformer(vocab *Vocab, cfg TransformerConfig) *Transformer {
 	for _, p := range []*mat.Matrix{m.emb, m.pos, m.wq, m.wk, m.wv, m.wao, m.w1, m.w2, m.wout} {
 		rng.FillUniform(mat.Vector(p.Data), math.Sqrt(1.0/float64(p.Cols)))
 	}
-	for _, p := range m.paramSlices() {
-		m.opts = append(m.opts, NewAdam(len(p.params), cfg.LR))
-	}
-	return m
-}
-
-type paramPair struct{ params, grads []float64 }
-
-func (m *Transformer) paramSlices() []paramPair {
-	return []paramPair{
+	for _, p := range [][2][]float64{
 		{m.emb.Data, m.gEmb.Data}, {m.pos.Data, m.gPos.Data},
 		{m.wq.Data, m.gWq.Data}, {m.wk.Data, m.gWk.Data}, {m.wv.Data, m.gWv.Data},
 		{m.wao.Data, m.gWao.Data},
 		{m.w1.Data, m.gW1.Data}, {m.b1, m.gB1},
 		{m.w2.Data, m.gW2.Data}, {m.b2, m.gB2},
 		{m.wout.Data, m.gWout.Data}, {m.bout, m.gBout},
+	} {
+		m.tensors = append(m.tensors, tensor{params: p[0], grads: p[1], opt: NewAdam(len(p[0]), cfg.LR)})
 	}
+	return m
 }
 
 // Vocab returns the model vocabulary.
@@ -188,23 +183,6 @@ func (m *Transformer) forward(ids []int, withOutput bool) *tfwd {
 		}
 	}
 	return fw
-}
-
-// trainSentence runs forward + backward over one encoded sentence and
-// applies one Adam step, returning summed NLL and token count.
-func (m *Transformer) trainSentence(ids []int) (nll float64, n int) {
-	nll, n = m.accumulateGrads(ids)
-	if n == 0 {
-		return nll, n
-	}
-	for _, p := range m.paramSlices() {
-		mat.Vector(p.grads).Clip(m.cfg.Clip)
-	}
-	for i, p := range m.paramSlices() {
-		m.opts[i].Step(p.params, p.grads)
-		mat.Vector(p.grads).Zero()
-	}
-	return nll, n
 }
 
 // accumulateGrads runs the forward pass and full backward pass for one
@@ -304,18 +282,25 @@ func (m *Transformer) accumulateGrads(ids []int) (nll float64, n int) {
 }
 
 // Train fits the model and returns the final-epoch training perplexity.
+// After each sentence every parameter takes one clipped Adam step, split
+// over runtime.GOMAXPROCS(0) workers; the trained weights do not depend
+// on their number.
 func (m *Transformer) Train(corpus [][]string, epochs int) float64 {
 	rng := mat.NewRNG(m.cfg.Seed + 77)
 	encoded := make([][]int, len(corpus))
 	for i, sent := range corpus {
 		encoded[i] = m.vocab.EncodeSentence(sent)
 	}
+	procs := runtime.GOMAXPROCS(0)
 	var ppl float64
 	for e := 0; e < epochs; e++ {
 		var nll float64
 		var n int
 		for _, i := range rng.Perm(len(encoded)) {
-			dn, dc := m.trainSentence(encoded[i])
+			dn, dc := m.accumulateGrads(encoded[i])
+			if dc > 0 {
+				clipStepZero(procs, m.cfg.Clip, m.tensors)
+			}
 			nll += dn
 			n += dc
 		}

@@ -28,7 +28,7 @@ func TestTransformerGradientCheck(t *testing.T) {
 
 	// Capture analytic gradients without stepping.
 	m.accumulateGrads(ids)
-	pairs := m.paramSlices()
+	pairs := m.tensors
 	grads := make([][]float64, len(pairs))
 	for i, p := range pairs {
 		grads[i] = append([]float64(nil), p.grads...)
