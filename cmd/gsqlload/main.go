@@ -279,7 +279,7 @@ func driveClient(dial func() (net.Conn, error), seed int64, requests int, ingest
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	gen := difftest.NewGen(seed)
+	gen := difftest.NewGen(seed, difftest.Vocabulary)
 	roundTrip := func(req server.Request) (server.Response, bool) {
 		var resp server.Response
 		if err := enc.Encode(req); err != nil {

@@ -16,10 +16,9 @@ import (
 
 // Config parameterises KMeans. Zero fields take defaults.
 type Config struct {
-	K        int    // number of clusters H (required, >= 1)
-	MaxIter  int    // Lloyd iteration cap (default 25)
-	Seed     uint64 // seeding RNG (default 1)
-	Parallel int    // worker count (default NumCPU)
+	K       int    // number of clusters H (required, >= 1)
+	MaxIter int    // Lloyd iteration cap (default 25)
+	Seed    uint64 // seeding RNG (default 1)
 }
 
 // Result is a clustering outcome.
@@ -53,9 +52,6 @@ func KMeans(points []mat.Vector, cfg Config) (Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Parallel == 0 {
-		cfg.Parallel = runtime.NumCPU()
-	}
 	k := cfg.K
 	if k > len(points) {
 		k = len(points)
@@ -72,7 +68,7 @@ func KMeans(points []mat.Vector, cfg Config) (Result, error) {
 	res := Result{Assign: assign, Centroids: centroids}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iters = iter + 1
-		changed, inertia := assignAll(points, centroids, assign, cfg.Parallel)
+		changed, inertia := assignAll(points, centroids, assign)
 		res.Inertia = inertia
 		if !changed && iter > 0 {
 			break
@@ -151,15 +147,11 @@ func seedPlusPlus(points []mat.Vector, k int, rng *mat.RNG) []mat.Vector {
 	return centroids
 }
 
-// assignAll reassigns every point to its nearest centroid in parallel and
-// reports whether any assignment changed plus the total inertia.
-func assignAll(points []mat.Vector, centroids []mat.Vector, assign []int, workers int) (bool, float64) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
+// assignAll reassigns every point to its nearest centroid on up to
+// GOMAXPROCS workers and reports whether any assignment changed plus the
+// total inertia.
+func assignAll(points []mat.Vector, centroids []mat.Vector, assign []int) (bool, float64) {
+	workers := min(runtime.GOMAXPROCS(0), len(points))
 	type partial struct {
 		changed bool
 		inertia float64

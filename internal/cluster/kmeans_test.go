@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"semjoin/internal/mat"
@@ -68,10 +69,14 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	}
 }
 
+// TestKMeansDeterministic pins that the worker count (GOMAXPROCS) does
+// not change the assignment for a fixed seed.
 func TestKMeansDeterministic(t *testing.T) {
 	pts, _ := blobs([]mat.Vector{{0, 0}, {5, 5}}, 25, 0.8, 9)
-	a := mustKMeans(t, pts, Config{K: 2, Seed: 4, Parallel: 1})
-	b := mustKMeans(t, pts, Config{K: 2, Seed: 4, Parallel: 4})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := mustKMeans(t, pts, Config{K: 2, Seed: 4})
+	runtime.GOMAXPROCS(4)
+	b := mustKMeans(t, pts, Config{K: 2, Seed: 4})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("parallelism must not change the result for a fixed seed")

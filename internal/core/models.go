@@ -49,16 +49,6 @@ func BuildCorpus(g *graph.Graph, walksPerVertex, walkLen int, seed uint64) [][]s
 	return corpus
 }
 
-// vocabMinCount prunes singleton tokens on large corpora: rare periphery
-// labels become UNK, which keeps the LSTM's softmax layer (and training
-// time) proportional to the label vocabulary that actually matters.
-func vocabMinCount(corpusSentences int) int {
-	if corpusSentences > 1000 {
-		return 2
-	}
-	return 1
-}
-
 // TypeSentences renders one "L(v) τ" sentence per typed vertex of g.
 // Word-embedding training consumes them so that value tokens ("UK")
 // become cosine-close to their class word ("country") — the geometry the
@@ -78,30 +68,45 @@ func TypeSentences(g *graph.Graph) [][]string {
 	return out
 }
 
-// TrainModels trains the default model pair on g: an LSTM language model
-// over the random-walk corpus, and GloVe-style word vectors over the same
-// corpus plus the type sentences of the graph. epochs controls LSTM
-// training passes.
-func TrainModels(g *graph.Graph, epochs int, seed uint64) Models {
-	corpus := BuildCorpus(g, 3, 8, seed)
-	vocab := nn.BuildVocab(corpus, vocabMinCount(len(corpus)))
-	lstm := nn.NewLSTM(vocab, nn.LSTMConfig{Seed: seed})
-	lstm.Train(corpus, epochs)
-	gloveCorpus := append([][]string(nil), corpus...)
+// TrainingText is the one recipe for the text the default models train
+// on: the random-walk corpus of g (3 walks of 8 steps per vertex), the
+// vocabulary over it, and the word-embedding corpus — the walks plus
+// the type sentences of g, replicated. TrainModels and the experiment
+// harness's per-variant training both start here.
+func TrainingText(g *graph.Graph, seed uint64) (walks [][]string, vocab *nn.Vocab, glove [][]string) {
+	walks = BuildCorpus(g, 3, 8, seed)
+	// Prune singleton tokens on large corpora: rare periphery labels
+	// become UNK, which keeps the LSTM's softmax layer (and training
+	// time) proportional to the label vocabulary that actually matters.
+	minCount := 1
+	if len(walks) > 1000 {
+		minCount = 2
+	}
+	vocab = nn.BuildVocab(walks, minCount)
 	// Type sentences are few (one per typed vertex) against thousands of
 	// walk sentences; replicate them so the value↔class co-occurrence is
 	// strong enough for GloVe to encode.
 	types := TypeSentences(g)
-	reps := 0
-	if len(types) > 0 {
-		if reps = len(corpus) / len(types); reps < 20 {
-			reps = 20
-		}
+	reps := 20
+	if len(types) > 0 && len(walks)/len(types) > reps {
+		reps = len(walks) / len(types)
 	}
+	glove = append([][]string(nil), walks...)
 	for r := 0; r < reps; r++ {
-		gloveCorpus = append(gloveCorpus, types...)
+		glove = append(glove, types...)
 	}
-	glove := embed.TrainGloVe(gloveCorpus, embed.GloVeConfig{Seed: seed})
+	return walks, vocab, glove
+}
+
+// TrainModels trains the default model pair on g: an LSTM language model
+// over the random-walk corpus, and GloVe-style word vectors over the same
+// corpus plus the type sentences of the graph (TrainingText). epochs
+// controls LSTM training passes.
+func TrainModels(g *graph.Graph, epochs int, seed uint64) Models {
+	walks, vocab, gloveText := TrainingText(g, seed)
+	lstm := nn.NewLSTM(vocab, nn.LSTMConfig{Seed: seed})
+	lstm.Train(walks, epochs)
+	glove := embed.TrainGloVe(gloveText, embed.GloVeConfig{Seed: seed})
 	return Models{Seq: lstm, Word: NewTypeAwareEmbedder(g, glove, 2, seed)}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +45,6 @@ type Config struct {
 	Beam int
 	// Seed drives clustering and the RndPath baseline (default 1).
 	Seed uint64
-	// Parallel is the worker count (default NumCPU).
-	Parallel int
 	// Accept, when non-nil, models the user interaction of §III-A step 4:
 	// it is shown each candidate attribute (name, patterns, sample
 	// matches) in rank order and returns whether to include it.
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Parallel == 0 {
-		c.Parallel = runtime.NumCPU()
 	}
 	return c
 }
@@ -405,7 +399,7 @@ func (e *Extractor) Discover(s *rel.Relation, matches []her.Match) error {
 	// (3) KMC into H clusters (optionally noise-injected for Fig 5(f)).
 	stageStart = time.Now()
 	res, err := cluster.KMeans(points, cluster.Config{
-		K: e.cfg.H, MaxIter: 25, Seed: e.cfg.Seed, Parallel: e.cfg.Parallel,
+		K: e.cfg.H, MaxIter: 25, Seed: e.cfg.Seed,
 	})
 	if err != nil {
 		return err
@@ -685,11 +679,11 @@ func (e *Extractor) valueVec(s string) mat.Vector {
 // the next (DESIGN.md "V∆: candidates vs. read set").
 const walkGrain = 64
 
-// parallelFor runs fn(i) for i in [0, n) on up to cfg.Parallel workers,
+// parallelFor runs fn(i) for i in [0, n) on up to GOMAXPROCS workers,
 // each with at least grain items to its name; fewer than two grains run
 // on the calling goroutine.
 func (e *Extractor) parallelFor(n, grain int, fn func(i int)) {
-	workers := min(e.cfg.Parallel, n/grain)
+	workers := min(normPar(0), n/grain)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -74,25 +74,10 @@ func mustPrepare(r *Run, err error) *Run {
 	return r
 }
 
-// ensureCorpus builds the shared random-walk corpus once.
+// ensureCorpus builds the shared training text once.
 func (r *Run) ensureCorpus() {
-	if r.corpus != nil {
-		return
-	}
-	r.corpus = core.BuildCorpus(r.C.G, 3, 8, r.Seed)
-	minCount := 1
-	if len(r.corpus) > 1000 {
-		minCount = 2
-	}
-	r.vocab = nn.BuildVocab(r.corpus, minCount)
-	types := core.TypeSentences(r.C.G)
-	reps := 20
-	if len(types) > 0 && len(r.corpus)/len(types) > reps {
-		reps = len(r.corpus) / len(types)
-	}
-	r.glove = append([][]string(nil), r.corpus...)
-	for i := 0; i < reps; i++ {
-		r.glove = append(r.glove, types...)
+	if r.corpus == nil {
+		r.corpus, r.vocab, r.glove = core.TrainingText(r.C.G, r.Seed)
 	}
 }
 

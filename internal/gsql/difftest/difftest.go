@@ -1,11 +1,21 @@
-// Package difftest is a differential test harness for the gsql engine.
-// It builds seeded random fintech-style fixtures (graph + base
-// relations + oracle-matched materialization), generates seeded random
-// queries spanning every plan family (selects with predicates, order
-// by/limit/distinct, aggregates, cross joins, e-joins and l-joins),
-// and runs each query on the naive reference evaluator (reference.go),
-// a serial engine (Parallelism = 1) and a parallel one, checking the
-// three agree.
+// Package difftest is the differential test harness for the gsql
+// engine and the one home of what every differential harness shares:
+//
+//   - Build: seeded random fintech-style fixtures (graph + base
+//     relations + oracle-matched materialization);
+//   - Gen (gen.go): the one seeded query generator, spanning every plan
+//     family (selects with predicates, order by/limit/distinct,
+//     aggregates, cross joins, e-joins and l-joins) over a fixture's
+//     Vocab;
+//   - Agree (agree.go): one query on the naive reference evaluator
+//     (reference.go), a serial engine (Parallelism = 1), a parallel one,
+//     and the parallel one again gL-cache-cold and cache-warm, checking
+//     they all agree;
+//   - RaceEngines (agree.go): N engines racing over one catalog must
+//     match a lone serial engine.
+//
+// internal/prop runs the same generator, Agree and RaceEngines over its
+// own workloads and Vocab.
 //
 // The order-preserving exchange makes most plans identical tuple for
 // tuple, but aggregate group order depends on map iteration, so the
@@ -25,6 +35,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,15 +46,21 @@ import (
 	"semjoin/internal/rel"
 )
 
-// Value pools shared by the fixture builder and the query generator,
-// so generated predicates always reference plausible data.
-var (
-	poolCompanies = []string{"Acme Corp", "Globex Corp", "Initech Corp", "Umbrella Corp", "Stark Ltd"}
-	poolCountries = []string{"UK", "US", "Germany", "France"}
-	poolTypes     = []string{"Funds", "Stocks"}
-	poolRisks     = []string{"low", "medium", "high"}
-	poolCredits   = []string{"good", "fair", "poor"}
-)
+// Vocabulary is the difftest fixture's vocabulary: the pools Build draws
+// its data from and the attributes its materialisation always extracts
+// for the product base (Build fails otherwise). Its company names are
+// deliberately disjoint from internal/prop's: the two harnesses must not
+// mask each other's fixtures.
+var Vocabulary = Vocab{
+	Companies:    []string{"Acme Corp", "Globex Corp", "Initech Corp", "Umbrella Corp", "Stark Ltd"},
+	Countries:    []string{"UK", "US", "Germany", "France"},
+	Types:        []string{"Funds", "Stocks"},
+	Risks:        []string{"low", "medium", "high"},
+	Credits:      []string{"good", "fair", "poor"},
+	PID:          "fd%d",
+	CustomerName: "person %02d",
+	EJoin:        []string{"company", "country"},
+}
 
 // Fixture is one seeded random instance of the fintech schema:
 // product(pid, name, issuer, type, price, risk) and
@@ -58,27 +75,29 @@ type Fixture struct {
 
 // Build constructs a fixture from seed. The same seed always yields
 // the same graph, relations and materialization. Materialization
-// failures (a miswired base spec) surface as errors.
+// failures (a miswired base spec, or a product base that did not
+// extract Vocabulary.EJoin) surface as errors.
 func Build(seed int64) (*Fixture, error) {
+	vocab := Vocabulary
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New()
 
-	nCompanies := 3 + rng.Intn(len(poolCompanies)-2)
-	companies := poolCompanies[:nCompanies]
+	nCompanies := 3 + rng.Intn(len(vocab.Companies)-2)
+	companies := vocab.Companies[:nCompanies]
 
-	countryV := make([]graph.VertexID, len(poolCountries))
-	for i, c := range poolCountries {
+	countryV := make([]graph.VertexID, len(vocab.Countries))
+	for i, c := range vocab.Countries {
 		countryV[i] = g.AddVertex(c, "country")
 	}
 	companyV := make([]graph.VertexID, nCompanies)
 	countryOfCompany := make([]int, nCompanies)
 	for i, c := range companies {
 		companyV[i] = g.AddVertex(c, "company")
-		countryOfCompany[i] = rng.Intn(len(poolCountries))
+		countryOfCompany[i] = rng.Intn(len(vocab.Countries))
 		g.AddEdge(companyV[i], "registered_in", countryV[countryOfCompany[i]])
 	}
-	categoryV := make([]graph.VertexID, len(poolTypes))
-	for i, c := range poolTypes {
+	categoryV := make([]graph.VertexID, len(vocab.Types))
+	for i, c := range vocab.Types {
 		categoryV[i] = g.AddVertex(c, "category")
 	}
 
@@ -101,31 +120,31 @@ func Build(seed int64) (*Fixture, error) {
 	nProducts := 12 + rng.Intn(9)
 	prodV := make([]graph.VertexID, nProducts)
 	for i := 0; i < nProducts; i++ {
-		pid := fmt.Sprintf("fd%d", i)
+		pid := fmt.Sprintf(vocab.PID, i)
 		name := fmt.Sprintf("prod %02d", i)
 		ci := rng.Intn(nCompanies)
-		ti := rng.Intn(len(poolTypes))
+		ti := rng.Intn(len(vocab.Types))
 		v := g.AddVertex(name, "product")
 		prodV[i] = v
 		g.AddEdge(companyV[ci], "issues", v)
 		g.AddEdge(v, "category", categoryV[ti])
 		products.InsertVals(
 			rel.S(pid), rel.S(name), rel.S(companies[ci]),
-			rel.S(poolTypes[ti]), rel.I(int64(60+10*rng.Intn(10))),
-			rel.S(poolRisks[rng.Intn(len(poolRisks))]))
+			rel.S(vocab.Types[ti]), rel.I(int64(60+10*rng.Intn(10))),
+			rel.S(vocab.Risks[rng.Intn(len(vocab.Risks))]))
 		truth[pid] = v
 	}
 	nCust := 8 + rng.Intn(9)
 	for i := 0; i < nCust; i++ {
 		cid := fmt.Sprintf("cid%02d", i)
-		name := fmt.Sprintf("person %02d", i)
+		name := fmt.Sprintf(vocab.CustomerName, i)
 		v := g.AddVertex(name, "person")
 		truth[cid] = v
 		for _, p := range rng.Perm(nProducts)[:1+rng.Intn(3)] {
 			g.AddEdge(v, "invest", prodV[p])
 		}
 		customers.InsertVals(rel.S(cid), rel.S(name),
-			rel.S(poolCredits[rng.Intn(len(poolCredits))]),
+			rel.S(vocab.Credits[rng.Intn(len(vocab.Credits))]),
 			rel.I(int64(40000+10000*rng.Intn(20))))
 	}
 
@@ -133,11 +152,14 @@ func Build(seed int64) (*Fixture, error) {
 	oracle := her.NewOracleMatcher(truth)
 	cfg := core.Config{K: 3, H: 14, Seed: uint64(seed) + 5}
 	mat, err := core.BuildMaterialized(g, models, map[string]core.BaseSpec{
-		"product":  {D: products, AR: []string{"company", "country"}, Matcher: oracle},
+		"product":  {D: products, AR: slices.Clone(vocab.EJoin), Matcher: oracle},
 		"customer": {D: customers, AR: []string{"company", "product"}, Matcher: oracle},
 	}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: materializing fixture %d: %w", seed, err)
+	}
+	if got := ExtractedEJoinAttrs(mat, "product"); !slices.Equal(got, vocab.EJoin) {
+		return nil, fmt.Errorf("difftest: fixture %d extracted %v for product, its vocabulary names %v", seed, got, vocab.EJoin)
 	}
 	profiles := core.ProfileGraph(g, models, map[string][]string{
 		"product": {"company", "country"},
@@ -158,184 +180,6 @@ func Build(seed int64) (*Fixture, error) {
 			RExt:      core.Config{H: 14, Seed: uint64(seed) + 5},
 		},
 	}, nil
-}
-
-// Gen is a seeded random query generator over the fixture schema.
-type Gen struct{ rng *rand.Rand }
-
-// NewGen returns a generator; the same seed yields the same query
-// sequence.
-func NewGen(seed int64) *Gen {
-	return &Gen{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (g *Gen) pick(ss []string) string { return ss[g.rng.Intn(len(ss))] }
-
-// pred emits one atomic predicate over table (optionally qualified
-// with prefix, e.g. "p." for a cross-join alias).
-func (g *Gen) pred(table, prefix string) string {
-	switch table {
-	case "product":
-		switch g.rng.Intn(7) {
-		case 0:
-			return fmt.Sprintf("%sprice >= %d", prefix, 60+10*g.rng.Intn(10))
-		case 1:
-			return fmt.Sprintf("%sprice < %d", prefix, 60+10*g.rng.Intn(10))
-		case 2:
-			return fmt.Sprintf("%srisk = '%s'", prefix, g.pick(poolRisks))
-		case 3:
-			return fmt.Sprintf("%srisk <> '%s'", prefix, g.pick(poolRisks))
-		case 4:
-			return fmt.Sprintf("%stype = '%s'", prefix, g.pick(poolTypes))
-		case 5:
-			return fmt.Sprintf("%sprice between %d and %d", prefix, 60+10*g.rng.Intn(4), 100+10*g.rng.Intn(5))
-		default:
-			return fmt.Sprintf("%spid in ('fd1', 'fd3', 'fd%d')", prefix, g.rng.Intn(12))
-		}
-	default: // customer
-		switch g.rng.Intn(5) {
-		case 0:
-			return fmt.Sprintf("%sbal >= %d", prefix, 40000+10000*g.rng.Intn(20))
-		case 1:
-			return fmt.Sprintf("%scredit = '%s'", prefix, g.pick(poolCredits))
-		case 2:
-			return fmt.Sprintf("%scredit <> '%s'", prefix, g.pick(poolCredits))
-		case 3:
-			return fmt.Sprintf("%sbal between %d and %d", prefix, 40000+10000*g.rng.Intn(5), 120000+10000*g.rng.Intn(8))
-		default:
-			return fmt.Sprintf("%sname like 'person%%'", prefix)
-		}
-	}
-}
-
-// where emits a boolean combination of 1-3 atomic predicates.
-func (g *Gen) where(table, prefix string) string {
-	p1 := g.pred(table, prefix)
-	switch g.rng.Intn(5) {
-	case 0:
-		return p1
-	case 1:
-		return p1 + " and " + g.pred(table, prefix)
-	case 2:
-		return p1 + " or " + g.pred(table, prefix)
-	case 3:
-		return "not (" + p1 + ")"
-	default:
-		return p1 + " and (" + g.pred(table, prefix) + " or " + g.pred(table, prefix) + ")"
-	}
-}
-
-var tableCols = map[string][]string{
-	"product":  {"pid", "name", "issuer", "type", "price", "risk"},
-	"customer": {"cid", "name", "credit", "bal"},
-}
-
-// cols picks a random non-empty projection list, preserving schema
-// order, or "*".
-func (g *Gen) cols(table string) (string, []string) {
-	all := tableCols[table]
-	if g.rng.Intn(3) == 0 {
-		return "*", all
-	}
-	var kept []string
-	for _, c := range all {
-		if g.rng.Intn(2) == 0 {
-			kept = append(kept, c)
-		}
-	}
-	if len(kept) == 0 {
-		kept = []string{all[0]}
-	}
-	return strings.Join(kept, ", "), kept
-}
-
-// Query emits one random query string. Every query the generator
-// emits must plan and execute successfully on both engines; the
-// differential test treats an execution error as a harness bug.
-func (g *Gen) Query() string {
-	switch g.rng.Intn(10) {
-	case 0, 1, 2: // plain select with optional order by / limit
-		table := g.pick([]string{"product", "customer"})
-		colList, kept := g.cols(table)
-		q := "select " + colList + " from " + table
-		if g.rng.Intn(3) > 0 {
-			q += " where " + g.where(table, "")
-		}
-		if g.rng.Intn(2) == 0 {
-			q += " order by " + g.pick(kept)
-			if g.rng.Intn(2) == 0 {
-				q += " desc"
-			}
-		}
-		if g.rng.Intn(3) == 0 {
-			q += fmt.Sprintf(" limit %d", 1+g.rng.Intn(10))
-		}
-		return q
-	case 3: // distinct
-		table := g.pick([]string{"product", "customer"})
-		col := g.pick(tableCols[table][2:]) // low-cardinality columns
-		q := "select distinct " + col + " from " + table
-		if g.rng.Intn(2) == 0 {
-			q += " where " + g.where(table, "")
-		}
-		return q
-	case 4, 5: // aggregate with group by
-		table := g.pick([]string{"product", "customer"})
-		gcol, mcol := "risk", "price"
-		if table == "customer" {
-			gcol, mcol = "credit", "bal"
-		}
-		if table == "product" && g.rng.Intn(2) == 0 {
-			gcol = "type"
-		}
-		agg := g.pick([]string{
-			"count(*) as n",
-			"sum(" + mcol + ") as s",
-			"avg(" + mcol + ") as a",
-			"min(" + mcol + ") as lo",
-			"max(" + mcol + ") as hi",
-		})
-		q := fmt.Sprintf("select %s, %s from %s", gcol, agg, table)
-		if g.rng.Intn(2) == 0 {
-			q += " where " + g.where(table, "")
-		}
-		q += " group by " + gcol
-		if g.rng.Intn(2) == 0 {
-			q += " order by " + gcol
-		}
-		return q
-	case 6: // cross join with per-side predicates
-		q := fmt.Sprintf("select c.cid, p.pid from customer as c, product as p where %s and %s",
-			g.where("customer", "c."), g.where("product", "p."))
-		if g.rng.Intn(2) == 0 {
-			q += " order by c.cid, p.pid"
-		}
-		if g.rng.Intn(3) == 0 {
-			q += fmt.Sprintf(" limit %d", 1+g.rng.Intn(20))
-		}
-		return q
-	case 7, 8: // e-join against the graph's extension attributes
-		q := "select pid, company from product e-join G <company, country> as T"
-		switch g.rng.Intn(3) {
-		case 0:
-			q += fmt.Sprintf(" where T.country = '%s'", g.pick(poolCountries))
-		case 1:
-			q += fmt.Sprintf(" where T.company = '%s'", g.pick(poolCompanies))
-		}
-		return q
-	default: // l-join: k-hop connectivity self-join
-		table := g.pick([]string{"customer", "product"})
-		key := "cid"
-		if table == "product" {
-			key = "pid"
-		}
-		q := fmt.Sprintf("select %s.%s, %s2.%s from %s l-join <Gp> %s as %s2",
-			table, key, table, key, table, table, table)
-		if g.rng.Intn(2) == 0 {
-			q += " where " + g.pred(table, table+".")
-		}
-		return q
-	}
 }
 
 // Diff compares two relations as bags of tuples. It returns "" when

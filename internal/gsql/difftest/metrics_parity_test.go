@@ -47,7 +47,7 @@ func TestMetricsParitySerialVsParallel(t *testing.T) {
 	par.Obs = obs.NewRegistry()
 	par.Queries = obs.NewQueryLog()
 
-	gen := NewGen(seed)
+	gen := NewGen(seed, Vocabulary)
 	ran := 0
 	for ran < queries {
 		q := gen.Query()

@@ -1,18 +1,17 @@
 // Package prop is the metamorphic correctness harness for semantic
 // joins: seeded random workloads (graphs, relations, keyword sets,
-// update streams, gSQL query strings) checked against a bank of
-// property-based oracles —
+// update streams, gSQL query strings) checked against a bank of eight
+// property-based oracle families —
 //
 //  1. IncExt over a random ΔG/ΔD/keyword stream must equal a fresh
 //     extraction on the final state (oracle_incext.go);
-//  2. serial, parallel, gL-cache-cold and cache-warm executions of one
-//     query must be bag-equal (oracle_exec.go);
+//  2. the naive reference evaluator and serial, parallel, gL-cache-cold
+//     and cache-warm executions of one query must be bag-equal, with the
+//     ORDER BY keys in one sequence (oracle_exec.go);
 //  3. well-behaved gSQL rewrites must match direct enrichment/link-join
 //     evaluation computed outside the engine (oracle_rewrite.go);
 //  4. persistence round-trips must be behaviour-preserving
 //     (oracle_persist.go);
-//  5. the naive reference evaluator and the engine, serial and
-//     parallel, must be bag-equal on one query (oracle_reference.go);
 //  6. concurrent engines racing over one catalog must match a lone
 //     serial engine (oracle_concurrent.go);
 //  7. reads over a WAL-backed store after every step of an update
@@ -24,6 +23,11 @@
 //  9. reads racing an update stream must each equal the same read over
 //     a materialisation built from scratch on the WAL prefix it reports
 //     (oracle_isolation.go).
+//
+// Number 5 (reference evaluator vs engine) is folded into 2 and not
+// reused. Oracles 2 and 6 run internal/gsql/difftest's one query
+// generator over this package's Vocabulary, through difftest.Agree and
+// difftest.RaceEngines — the same routines the difftest fixtures run.
 //
 // The stores of oracles 7–9 keep the workload's one graph domain: the
 // graph and both bases over it, with relation and keyword steps for
@@ -38,29 +42,40 @@ package prop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"semjoin/internal/core"
 	"semjoin/internal/embed"
 	"semjoin/internal/graph"
 	"semjoin/internal/gsql"
+	"semjoin/internal/gsql/difftest"
 	"semjoin/internal/her"
 	"semjoin/internal/mat"
 	"semjoin/internal/rel"
 )
 
-// Value pools shared by the workload builder and the query generator,
-// so generated predicates reference plausible data. Deliberately
-// disjoint from internal/gsql/difftest's pools: the two harnesses
-// must not mask each other's fixtures.
-var (
-	poolCompanies = []string{"Vertex Holdings", "Nimbus Capital", "Orchid Group", "Quarry Partners", "Helix Trust"}
-	poolCountries = []string{"UK", "US", "Japan", "Brazil"}
-	poolTypes     = []string{"Funds", "Stocks"}
-	poolRisks     = []string{"low", "medium", "high"}
-	poolCredits   = []string{"good", "fair", "poor"}
-	poolKeywords  = []string{"company", "country", "category"}
-)
+// Vocabulary is the workload's vocabulary: the pools NewWorkload draws
+// its data from, and as e-join attributes the product base's reference
+// keywords — what its materialisation extracts at most; the oracles
+// narrow it to what a seed extracted (difftest.ExtractedEJoinAttrs).
+// Its company names are deliberately disjoint from
+// internal/gsql/difftest's: the two harnesses must not mask each other's
+// fixtures.
+var Vocabulary = difftest.Vocab{
+	Companies:    []string{"Vertex Holdings", "Nimbus Capital", "Orchid Group", "Quarry Partners", "Helix Trust"},
+	Countries:    []string{"UK", "US", "Japan", "Brazil"},
+	Types:        []string{"Funds", "Stocks"},
+	Risks:        []string{"low", "medium", "high"},
+	Credits:      []string{"good", "fair", "poor"},
+	PID:          "pp%d",
+	CustomerName: "client %02d",
+	EJoin:        []string{"company", "country"},
+}
+
+// poolKeywords are the keywords a keyword step draws its interest set
+// from.
+var poolKeywords = []string{"company", "country", "category"}
 
 // Workload is one seeded random instance of the harness schema —
 // product(pid, name, issuer, type, price, risk) and customer(cid,
@@ -88,23 +103,24 @@ type Workload struct {
 // NewWorkload builds the workload for seed. The same seed always
 // yields the same graph, relations and ground truth.
 func NewWorkload(seed int64) *Workload {
+	vocab := Vocabulary
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New()
 
-	nCompanies := 3 + rng.Intn(len(poolCompanies)-2)
-	companies := poolCompanies[:nCompanies]
+	nCompanies := 3 + rng.Intn(len(vocab.Companies)-2)
+	companies := vocab.Companies[:nCompanies]
 
-	countryV := make([]graph.VertexID, len(poolCountries))
-	for i, c := range poolCountries {
+	countryV := make([]graph.VertexID, len(vocab.Countries))
+	for i, c := range vocab.Countries {
 		countryV[i] = g.AddVertex(c, "country")
 	}
 	companyV := make([]graph.VertexID, nCompanies)
 	for i, c := range companies {
 		companyV[i] = g.AddVertex(c, "company")
-		g.AddEdge(companyV[i], "registered_in", countryV[rng.Intn(len(poolCountries))])
+		g.AddEdge(companyV[i], "registered_in", countryV[rng.Intn(len(vocab.Countries))])
 	}
-	categoryV := make([]graph.VertexID, len(poolTypes))
-	for i, c := range poolTypes {
+	categoryV := make([]graph.VertexID, len(vocab.Types))
+	for i, c := range vocab.Types {
 		categoryV[i] = g.AddVertex(c, "category")
 	}
 
@@ -127,17 +143,17 @@ func NewWorkload(seed int64) *Workload {
 	// addProduct creates product i — vertex, edges, ground truth — and
 	// appends its tuple to into.
 	addProduct := func(i int, into *rel.Relation) graph.VertexID {
-		pid := fmt.Sprintf("pp%d", i)
+		pid := fmt.Sprintf(vocab.PID, i)
 		name := fmt.Sprintf("asset %02d", i)
 		ci := rng.Intn(nCompanies)
-		ti := rng.Intn(len(poolTypes))
+		ti := rng.Intn(len(vocab.Types))
 		v := g.AddVertex(name, "product")
 		g.AddEdge(companyV[ci], "issues", v)
 		g.AddEdge(v, "category", categoryV[ti])
 		into.InsertVals(
 			rel.S(pid), rel.S(name), rel.S(companies[ci]),
-			rel.S(poolTypes[ti]), rel.I(int64(60+10*rng.Intn(10))),
-			rel.S(poolRisks[rng.Intn(len(poolRisks))]))
+			rel.S(vocab.Types[ti]), rel.I(int64(60+10*rng.Intn(10))),
+			rel.S(vocab.Risks[rng.Intn(len(vocab.Risks))]))
 		truth[pid] = v
 		return v
 	}
@@ -149,14 +165,14 @@ func NewWorkload(seed int64) *Workload {
 	nCust := 5 + rng.Intn(5)
 	for i := 0; i < nCust; i++ {
 		cid := fmt.Sprintf("cc%02d", i)
-		name := fmt.Sprintf("client %02d", i)
+		name := fmt.Sprintf(vocab.CustomerName, i)
 		v := g.AddVertex(name, "person")
 		truth[cid] = v
 		for _, p := range rng.Perm(nProducts)[:1+rng.Intn(3)] {
 			g.AddEdge(v, "invest", prodV[p])
 		}
 		customers.InsertVals(rel.S(cid), rel.S(name),
-			rel.S(poolCredits[rng.Intn(len(poolCredits))]),
+			rel.S(vocab.Credits[rng.Intn(len(vocab.Credits))]),
 			rel.I(int64(40000+10000*rng.Intn(20))))
 	}
 	master := rel.NewRelation(products.Schema)
@@ -175,7 +191,7 @@ func NewWorkload(seed int64) *Workload {
 		Matcher:   her.NewOracleMatcher(truth),
 		Models:    core.Models{Word: embed.NewCharEmbedder(32, uint64(seed)+17), RandomPaths: true},
 		Cfg:       core.Config{K: 3, H: 10, Seed: uint64(seed) + 5},
-		AR:        []string{"company", "country"},
+		AR:        slices.Clone(vocab.EJoin),
 	}
 }
 
@@ -327,190 +343,4 @@ func (w *Workload) GenStream(n int) Stream {
 		}
 	}
 	return steps
-}
-
-// --------------------------------------------------------- query strings
-
-// QueryGen is a seeded random generator of gSQL query strings over the
-// workload schema, spanning the implemented grammar: projections,
-// boolean predicates (and/or/not/between/in/like), distinct, group-by
-// aggregates, order by/limit, cross joins, e-joins and l-joins. Every
-// emitted query must plan and execute; the oracles treat an execution
-// error as a harness bug. ejoinAttrs restricts e-joins to attributes
-// the materialisation actually extracted for this seed — keywords
-// outside it would plan but fail at iterator build time.
-type QueryGen struct {
-	rng        *rand.Rand
-	ejoinAttrs []string
-}
-
-// NewQueryGen returns a generator; the same seed yields the same query
-// sequence. ejoinAttrs are the extracted attributes available for
-// e-join queries (possibly empty).
-func NewQueryGen(seed int64, ejoinAttrs []string) *QueryGen {
-	return &QueryGen{rng: rand.New(rand.NewSource(seed)), ejoinAttrs: ejoinAttrs}
-}
-
-func (g *QueryGen) pick(ss []string) string { return ss[g.rng.Intn(len(ss))] }
-
-func (g *QueryGen) pred(table, prefix string) string {
-	if table == "product" {
-		switch g.rng.Intn(6) {
-		case 0:
-			return fmt.Sprintf("%sprice >= %d", prefix, 60+10*g.rng.Intn(10))
-		case 1:
-			return fmt.Sprintf("%sprice < %d", prefix, 60+10*g.rng.Intn(10))
-		case 2:
-			return fmt.Sprintf("%srisk = '%s'", prefix, g.pick(poolRisks))
-		case 3:
-			return fmt.Sprintf("%stype <> '%s'", prefix, g.pick(poolTypes))
-		case 4:
-			return fmt.Sprintf("%sprice between %d and %d", prefix, 60+10*g.rng.Intn(4), 100+10*g.rng.Intn(5))
-		default:
-			return fmt.Sprintf("%spid in ('pp1', 'pp3', 'pp%d')", prefix, g.rng.Intn(8))
-		}
-	}
-	switch g.rng.Intn(4) {
-	case 0:
-		return fmt.Sprintf("%sbal >= %d", prefix, 40000+10000*g.rng.Intn(20))
-	case 1:
-		return fmt.Sprintf("%scredit = '%s'", prefix, g.pick(poolCredits))
-	case 2:
-		return fmt.Sprintf("%scredit <> '%s'", prefix, g.pick(poolCredits))
-	default:
-		return fmt.Sprintf("%sname like 'client%%'", prefix)
-	}
-}
-
-func (g *QueryGen) where(table, prefix string) string {
-	p1 := g.pred(table, prefix)
-	switch g.rng.Intn(4) {
-	case 0:
-		return p1
-	case 1:
-		return p1 + " and " + g.pred(table, prefix)
-	case 2:
-		return p1 + " or " + g.pred(table, prefix)
-	default:
-		return "not (" + p1 + ")"
-	}
-}
-
-// orderKeys emits one to three ORDER BY keys over cols, each with its
-// own direction: mixed-direction multi-key sorts (with LIMIT cutting
-// through the ties) are where a direction applied to the wrong key, or
-// a reverse that undoes the minor keys' order, shows.
-func (g *QueryGen) orderKeys(cols []string) string {
-	n := 1 + g.rng.Intn(min(3, len(cols)))
-	keys := make([]string, n)
-	for i, c := range g.rng.Perm(len(cols))[:n] {
-		keys[i] = cols[c]
-		switch g.rng.Intn(3) {
-		case 0:
-			keys[i] += " desc"
-		case 1:
-			keys[i] += " asc"
-		}
-	}
-	return strings.Join(keys, ", ")
-}
-
-var genCols = map[string][]string{
-	"product":  {"pid", "name", "issuer", "type", "price", "risk"},
-	"customer": {"cid", "name", "credit", "bal"},
-}
-
-// Query emits one random query string.
-func (g *QueryGen) Query() string {
-	fam := g.rng.Intn(10)
-	if fam >= 7 && len(g.ejoinAttrs) == 0 {
-		fam = g.rng.Intn(7) // no extracted attrs this seed: skip e-joins
-	}
-	switch fam {
-	case 0, 1, 2: // plain select
-		table := g.pick([]string{"product", "customer"})
-		all := genCols[table]
-		var kept []string
-		for _, c := range all {
-			if g.rng.Intn(2) == 0 {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) == 0 {
-			kept = all
-		}
-		q := "select " + strings.Join(kept, ", ") + " from " + table
-		if g.rng.Intn(3) > 0 {
-			q += " where " + g.where(table, "")
-		}
-		if g.rng.Intn(2) == 0 {
-			q += " order by " + g.orderKeys(kept)
-		}
-		if g.rng.Intn(3) == 0 {
-			q += fmt.Sprintf(" limit %d", 1+g.rng.Intn(8))
-		}
-		return q
-	case 3: // distinct on a low-cardinality column
-		if g.rng.Intn(2) == 0 {
-			return "select distinct risk from product"
-		}
-		return "select distinct credit from customer where " + g.where("customer", "")
-	case 4, 5: // aggregates
-		table, gcol, mcol := "product", "risk", "price"
-		if g.rng.Intn(2) == 0 {
-			table, gcol, mcol = "customer", "credit", "bal"
-		}
-		agg := g.pick([]string{
-			"count(*) as n", "sum(" + mcol + ") as s", "avg(" + mcol + ") as a",
-			"min(" + mcol + ") as lo", "max(" + mcol + ") as hi",
-		})
-		q := fmt.Sprintf("select %s, %s from %s", gcol, agg, table)
-		if g.rng.Intn(2) == 0 {
-			q += " where " + g.where(table, "")
-		}
-		return q + " group by " + gcol
-	case 6: // cross join
-		q := fmt.Sprintf("select c.cid, p.pid from customer as c, product as p where %s and %s",
-			g.where("customer", "c."), g.where("product", "p."))
-		if g.rng.Intn(2) == 0 {
-			q += " order by c.cid, p.pid"
-		}
-		return q
-	case 7, 8: // e-join over the attrs this seed extracted
-		a := g.ejoinAttrs
-		col := g.pick(a)
-		q := fmt.Sprintf("select pid, %s from product e-join G <%s> as T", col, strings.Join(a, ", "))
-		switch g.rng.Intn(3) {
-		case 0:
-			q += " where T." + g.pred("product", "")
-		case 1:
-			if col == "country" {
-				q += fmt.Sprintf(" where T.country = '%s'", g.pick(poolCountries))
-			} else {
-				q += fmt.Sprintf(" where T.%s = '%s'", col, g.pick(poolCompanies))
-			}
-		}
-		return q
-	default: // l-join: self and cross-base
-		switch g.rng.Intn(3) {
-		case 0:
-			q := "select product.pid, product2.pid from product l-join <Gp> product as product2"
-			if g.rng.Intn(2) == 0 {
-				q += " where " + g.pred("product", "product.")
-			}
-			return q
-		case 1:
-			q := "select customer.cid, customer2.cid from customer l-join <Gp> customer as customer2"
-			if g.rng.Intn(2) == 0 {
-				q += " where " + g.pred("customer", "customer.")
-			}
-			return q
-		default:
-			q := "select product.pid, c2.cid from product l-join <G> customer as c2"
-			if g.rng.Intn(2) == 0 {
-				q += " where " + g.pred("product", "product.")
-			}
-			return q
-		}
-	}
 }

@@ -44,8 +44,8 @@ func CheckFreshReads(seed int64, stream Stream) error {
 		// E-joins name the attributes this step's h(D,G) of each base still
 		// carries: a keyword step may have dropped some of AR from the
 		// scheme.
-		queries := append(eJoinQueries(extractedEJoinAttrs(cat.Mat, "product"),
-			extractedEJoinAttrs(cat.Mat, "customer"), ePred), linkQueries...)
+		queries := append(eJoinQueries(difftest.ExtractedEJoinAttrs(cat.Mat, "product"),
+			difftest.ExtractedEJoinAttrs(cat.Mat, "customer"), ePred), linkQueries...)
 		fresh, err := freshCatalog(w, cat)
 		if err != nil {
 			return fmt.Errorf("harness: step %d: materialise from scratch: %w", i, err)

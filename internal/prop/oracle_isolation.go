@@ -148,7 +148,7 @@ func isolationReference(seed int64, stream Stream) (queries []string, want [][]*
 	ePred, queries := freshReadQueries(seed)
 
 	prefixes := make([]*gsql.Catalog, 0, len(stream)+1)
-	attrs, custAttrs := extractedEJoinAttrs(cat.Mat, "product"), extractedEJoinAttrs(cat.Mat, "customer")
+	attrs, custAttrs := difftest.ExtractedEJoinAttrs(cat.Mat, "product"), difftest.ExtractedEJoinAttrs(cat.Mat, "customer")
 	drv := newStreamDriver(st, w)
 	for k := 0; ; k++ {
 		fresh, err := freshCatalog(w, cat)
@@ -156,8 +156,8 @@ func isolationReference(seed int64, stream Stream) (queries []string, want [][]*
 			return nil, nil, fmt.Errorf("harness: prefix %d: materialise from scratch: %w", k, err)
 		}
 		prefixes = append(prefixes, fresh)
-		attrs = intersect(attrs, extractedEJoinAttrs(cat.Mat, "product"))
-		custAttrs = intersect(custAttrs, extractedEJoinAttrs(cat.Mat, "customer"))
+		attrs = intersect(attrs, difftest.ExtractedEJoinAttrs(cat.Mat, "product"))
+		custAttrs = intersect(custAttrs, difftest.ExtractedEJoinAttrs(cat.Mat, "customer"))
 		if k == len(stream) {
 			break
 		}

@@ -8,6 +8,7 @@ import (
 	"semjoin/internal/core"
 	"semjoin/internal/graph"
 	"semjoin/internal/gsql"
+	"semjoin/internal/gsql/difftest"
 	"semjoin/internal/her"
 	"semjoin/internal/obs"
 	"semjoin/internal/rel"
@@ -51,9 +52,9 @@ func (p Pred) Match(v rel.Value) bool {
 func randProductPred(rng *rand.Rand) Pred {
 	switch rng.Intn(4) {
 	case 0:
-		return Pred{Col: "risk", Op: "=", Str: poolRisks[rng.Intn(len(poolRisks))]}
+		return Pred{Col: "risk", Op: "=", Str: Vocabulary.Risks[rng.Intn(len(Vocabulary.Risks))]}
 	case 1:
-		return Pred{Col: "type", Op: "<>", Str: poolTypes[rng.Intn(len(poolTypes))]}
+		return Pred{Col: "type", Op: "<>", Str: Vocabulary.Types[rng.Intn(len(Vocabulary.Types))]}
 	case 2:
 		return Pred{Col: "price", Op: ">=", Num: int64(60 + 10*rng.Intn(10)), IsNum: true}
 	default:
@@ -95,7 +96,7 @@ func CheckRewrite(seed int64, _ Stream) error {
 // e-join against the three-way reduction computed by hand from the
 // materialised f(D,G) and h(D,G).
 func checkEJoinRewrite(w *Workload, cat *gsql.Catalog, eng *gsql.Engine, rng *rand.Rand) error {
-	avail := extractedEJoinAttrs(cat.Mat, "product")
+	avail := difftest.ExtractedEJoinAttrs(cat.Mat, "product")
 	if len(avail) == 0 {
 		return nil // this seed's discovery extracted none of AR; nothing to rewrite
 	}
@@ -108,9 +109,8 @@ func checkEJoinRewrite(w *Workload, cat *gsql.Catalog, eng *gsql.Engine, rng *ra
 		p := randProductPred(rng)
 		pred = &p
 	}
-	base := genCols["product"]
-	q := fmt.Sprintf("select %s, vid, %s from product e-join G <%s> as T",
-		strings.Join(base, ", "), strings.Join(a, ", "), strings.Join(a, ", "))
+	q := fmt.Sprintf("select pid, name, issuer, type, price, risk, vid, %s from product e-join G <%s> as T",
+		strings.Join(a, ", "), strings.Join(a, ", "))
 	if pred != nil {
 		q += " where " + pred.SQL("T.")
 	}

@@ -59,8 +59,9 @@ func TestIncExtOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "incext-vs-fresh", StreamLen: 8, Check: CheckIncExt})
 }
 
-// TestExecEquivalenceOracle checks oracle 2: serial, parallel,
-// cache-cold and cache-warm executions agree on every generated query.
+// TestExecEquivalenceOracle checks oracle 2: the reference evaluator and
+// serial, parallel, cache-cold and cache-warm executions agree on every
+// generated query.
 func TestExecEquivalenceOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "exec-equivalence", Check: CheckExec})
 }
@@ -75,12 +76,6 @@ func TestRewriteOracle(t *testing.T) {
 // behaviour-preserving.
 func TestPersistOracle(t *testing.T) {
 	runOracle(t, Oracle{Name: "persist-round-trip", Check: CheckPersist})
-}
-
-// TestReferenceOracle checks oracle 5: the naive reference evaluator
-// and the engine (serial and parallel) agree on every generated query.
-func TestReferenceOracle(t *testing.T) {
-	runOracle(t, Oracle{Name: "reference-vs-engine", Check: CheckReference})
 }
 
 // TestConcurrentOracle checks oracle 6: N engines with divergent

@@ -35,7 +35,7 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 	)
 	srv := newTestServer(t, 17, Limits{}, nil)
 
-	gen := difftest.NewGen(17 ^ 0x5eed)
+	gen := difftest.NewGen(17^0x5eed, difftest.Vocabulary)
 	queries := make([]string, numQueries)
 	for i := range queries {
 		queries[i] = gen.Query()
