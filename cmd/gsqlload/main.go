@@ -70,6 +70,9 @@ func main() {
 
 	var dial func() (net.Conn, error)
 	var shutdown func() error
+	// Queries are generated against the selftest fixture's vocabulary
+	// (the e-join attributes its seed extracted), else difftest's.
+	vocab := difftest.Vocabulary
 	baseGoroutines := runtime.NumGoroutine()
 	if *selftest {
 		fix, err := difftest.Build(*seed)
@@ -77,6 +80,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gsqlload: fixture:", err)
 			os.Exit(2)
 		}
+		vocab = fix.Vocab
 		if *ingestEvery > 0 {
 			// Mixed read/update selftest: open the target store over an
 			// in-memory filesystem so ingest requests have a WAL to hit.
@@ -125,7 +129,7 @@ func main() {
 	if topN <= 0 {
 		topN = 3 // always surface a few IDs in the report, even without full trees
 	}
-	sum := run(dial, *clients, *requests, *seed, topN, *ingestEvery, *ingestBase)
+	sum := run(dial, vocab, *clients, *requests, *seed, topN, *ingestEvery, *ingestBase)
 	if *traceSlowest > 0 {
 		// Fetch before shutdown: the selftest path reads the in-process
 		// trace store, which outlives Shutdown, but a remote server may
@@ -199,7 +203,7 @@ type clientResult struct {
 
 // run launches the client fleet and merges their tallies, keeping the
 // topN slowest traced requests and up to a handful of shed trace IDs.
-func run(dial func() (net.Conn, error), clients, requests int, seed int64, topN, ingestEvery int, ingestBase string) summary {
+func run(dial func() (net.Conn, error), vocab difftest.Vocab, clients, requests int, seed int64, topN, ingestEvery int, ingestBase string) summary {
 	results := make([]clientResult, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -207,7 +211,7 @@ func run(dial func() (net.Conn, error), clients, requests int, seed int64, topN,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = driveClient(dial, seed+int64(i)*7919, requests, ingestEvery, ingestBase)
+			results[i] = driveClient(dial, vocab, seed+int64(i)*7919, requests, ingestEvery, ingestBase)
 		}(i)
 	}
 	wg.Wait()
@@ -258,7 +262,7 @@ func run(dial func() (net.Conn, error), clients, requests int, seed int64, topN,
 // state (SET PARALLELISM) to keep the per-session knobs hot under
 // load, and every client exercises one prepared statement with a
 // bound parameter.
-func driveClient(dial func() (net.Conn, error), seed int64, requests int, ingestEvery int, ingestBase string) clientResult {
+func driveClient(dial func() (net.Conn, error), vocab difftest.Vocab, seed int64, requests int, ingestEvery int, ingestBase string) clientResult {
 	var res clientResult
 	conn, err := dial()
 	if err != nil {
@@ -279,7 +283,7 @@ func driveClient(dial func() (net.Conn, error), seed int64, requests int, ingest
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	gen := difftest.NewGen(seed, difftest.Vocabulary)
+	gen := difftest.NewGen(seed, vocab)
 	roundTrip := func(req server.Request) (server.Response, bool) {
 		var resp server.Response
 		if err := enc.Encode(req); err != nil {

@@ -23,7 +23,7 @@ func TestConcurrentEnginesMatchSerial(t *testing.T) {
 			// One deterministic query list, shared by every worker: the
 			// point is many sessions racing over the same plans and
 			// caches, not coverage breadth (the generator handles that).
-			gen := NewGen(11^0x5eed, Vocabulary)
+			gen := NewGen(11^0x5eed, f.Vocab)
 			queries := make([]string, queriesPerWorker)
 			for i := range queries {
 				queries[i] = gen.Query()

@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,10 @@ func mustBuild(t testing.TB, seed int64) *Fixture {
 	f, err := Build(seed)
 	if err != nil {
 		t.Fatalf("Build(%d): %v", seed, err)
+	}
+	// The harnesses' seeds must keep every e-join attribute in play.
+	if !slices.Equal(f.Vocab.EJoin, Vocabulary.EJoin) {
+		t.Fatalf("Build(%d) extracted %v for product, want %v", seed, f.Vocab.EJoin, Vocabulary.EJoin)
 	}
 	return f
 }
@@ -37,7 +42,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	pairs := 0
 	for _, seed := range seeds {
 		f := mustBuild(t, seed)
-		gen := NewGen(seed*1000+7, Vocabulary)
+		gen := NewGen(seed*1000+7, f.Vocab)
 		for i := 0; i < queriesPer; i++ {
 			if err := Agree(f.Cat, gen.Query()); err != nil {
 				t.Errorf("seed %d query %d: %v", seed, i, err)

@@ -229,11 +229,15 @@ func (g *Gen) Query() string {
 		case 0:
 			q += " where T." + g.pred("product", "")
 		case 1:
+			// The filtered extension column is picked apart from the
+			// projected one: a filter on a column the projection drops
+			// is where pruning or pushdown can lose it too early.
+			fcol := g.pick(g.v.EJoin)
 			pool := g.v.Companies
-			if col == "country" {
+			if fcol == "country" {
 				pool = g.v.Countries
 			}
-			q += fmt.Sprintf(" where T.%s = '%s'", col, g.pick(pool))
+			q += fmt.Sprintf(" where T.%s = '%s'", fcol, g.pick(pool))
 		}
 		return q
 	default: // l-join: k-hop connectivity, self and cross-base

@@ -28,6 +28,8 @@ func TestGeneratorCoverage(t *testing.T) {
 		"customer as c, product as p", "select *", " and (", " or ", "not (",
 		"like", "between", " in (", "type =", "type <>", "risk <>", "credit <>", "bal between",
 		"count(*)", "sum(", "avg(", "min(", "max(",
+		// An e-join filtering on an extension column it does not project.
+		"select pid, company from product e-join G <company, country> as T where T.country = ",
 	}
 	for name, v := range vocabularies {
 		t.Run(name, func(t *testing.T) {

@@ -47,7 +47,7 @@ func TestMetricsParitySerialVsParallel(t *testing.T) {
 	par.Obs = obs.NewRegistry()
 	par.Queries = obs.NewQueryLog()
 
-	gen := NewGen(seed, Vocabulary)
+	gen := NewGen(seed, serialFix.Vocab)
 	ran := 0
 	for ran < queries {
 		q := gen.Query()
